@@ -66,16 +66,9 @@ RemoteDispatcher::~RemoteDispatcher() {
   std::vector<Resolution> resolutions;
   {
     MutexLock lock(mu_);
-    std::vector<TaskId> remaining;
-    remaining.reserve(in_flight_.size());
-    for (const auto& [task, info] : in_flight_) remaining.push_back(task);
-    for (TaskId task : remaining) {
-      const auto it = in_flight_.find(task);
-      if (it == in_flight_.end()) continue;
-      const QueryId query = it->second.query;
-      in_flight_.erase(it);
-      finish_task(query, /*missed=*/false, /*failed=*/true, &resolutions);
-    }
+    while (!in_flight_.empty())
+      finish_task(retire_task(in_flight_.begin()), /*missed=*/false,
+                  /*failed=*/true, &resolutions);
     for (auto& conn : servers_) conn.fd.reset();
   }
   resolve(std::move(resolutions));
@@ -104,6 +97,7 @@ std::future<QueryResult> RemoteDispatcher::submit(
   std::promise<QueryResult> promise;
   std::future<QueryResult> future = promise.get_future();
   std::vector<Resolution> resolutions;
+  bool wake = false;
   {
     MutexLock lock(mu_);
     const TimeMs t0 = now_ms();
@@ -191,6 +185,7 @@ std::future<QueryResult> RemoteDispatcher::submit(
       pending.result.deadline_budget_ms = plan.budget_ms;
       pending_.emplace(qid, std::move(pending));
 
+      const TimeMs expiry_ms = t0 + options_.task_timeout_ms;
       for (std::size_t i = 0; i < tasks.size(); ++i) {
         if (failed_at_submit[i]) {
           finish_task(qid, /*missed=*/false, /*failed=*/true, &resolutions);
@@ -204,15 +199,28 @@ std::future<QueryResult> RemoteDispatcher::submit(
         msg.simulated_service_ms = tasks[i].simulated_service_ms;
         ServerConn& conn = servers_[placement[i]];
         // Frames for the same server coalesce into one chunk here and leave
-        // in a single vectored send from the net loop.
+        // in a single vectored send below. A queue that already held output
+        // belongs to the net loop (a blocked or failed send woke it, or it
+        // queued frames itself), which sends this query's frames too.
+        if (conn.out.empty()) send_now_.push_back(placement[i]);
         encode_into(msg, conn.out.chunk());
         ++conn.in_flight;
-        in_flight_.emplace(msg.task, InFlightTask{qid, placement[i]});
-        timeouts_.emplace(t0 + options_.task_timeout_ms, msg.task);
+        // Expiries never decrease (t0 is monotonic, the timeout fixed), so
+        // the end is the right hint and the insert is amortised O(1).
+        const auto entry =
+            timeouts_.emplace_hint(timeouts_.end(), expiry_ms, msg.task);
+        in_flight_.emplace(msg.task, InFlightTask{qid, placement[i], entry});
       }
+      // The caller's thread sends: one sendmsg per server this query
+      // reached whose queue was idle. The net loop is woken only when a
+      // send cannot finish, or when it would otherwise sleep past the new
+      // tasks' expiry.
+      for (ServerId s : send_now_) wake |= send_inline(servers_[s]);
+      send_now_.clear();
+      wake |= expiry_ms < loop_deadline_ms_;
     }
   }
-  wake_.wake();
+  if (wake) wake_.wake();
   resolve(std::move(resolutions));
   return future;
 }
@@ -243,9 +251,11 @@ std::size_t RemoteDispatcher::alive_servers_locked() const {
 void RemoteDispatcher::request_stats(ServerId server) {
   MutexLock lock(mu_);
   TG_CHECK_MSG(server < servers_.size(), "unknown server " << server);
-  if (servers_[server].state != ConnState::kAlive) return;
-  encode_into(StatsRequestMsg{}, servers_[server].out.chunk());
-  wake_.wake();
+  ServerConn& conn = servers_[server];
+  if (conn.state != ConnState::kAlive) return;
+  const bool idle = conn.out.empty();  // else the net loop owns the queue
+  encode_into(StatsRequestMsg{}, conn.out.chunk());
+  if (idle && send_inline(conn)) wake_.wake();
 }
 
 std::optional<StatsResponseMsg> RemoteDispatcher::last_stats(
@@ -318,7 +328,21 @@ PlacementStats RemoteDispatcher::placement_stats() const {
   return control_.placement_stats();
 }
 
+std::size_t RemoteDispatcher::timeout_entries() const {
+  MutexLock lock(mu_);
+  return timeouts_.size();
+}
+
 // ------------------------------------------------------------ task endings
+
+QueryId RemoteDispatcher::retire_task(InFlightMap::iterator it) {
+  const QueryId query = it->second.query;
+  ServerConn& conn = servers_[it->second.server];
+  if (conn.in_flight > 0) --conn.in_flight;
+  timeouts_.erase(it->second.timeout_entry);
+  in_flight_.erase(it);
+  return query;
+}
 
 void RemoteDispatcher::finish_task(QueryId query, bool missed, bool failed,
                                    std::vector<Resolution>* resolutions) {
@@ -345,16 +369,13 @@ void RemoteDispatcher::finish_task(QueryId query, bool missed, bool failed,
 
 void RemoteDispatcher::expire_timeouts(TimeMs now,
                                        std::vector<Resolution>* resolutions) {
+  // Every entry belongs to a task still in flight: answered and orphaned
+  // tasks take their entry with them (retire_task).
   while (!timeouts_.empty() && timeouts_.begin()->first <= now) {
-    const TaskId task = timeouts_.begin()->second;
-    timeouts_.erase(timeouts_.begin());
-    const auto it = in_flight_.find(task);
-    if (it == in_flight_.end()) continue;  // already answered; lazy deletion
-    const QueryId query = it->second.query;
-    ServerConn& conn = servers_[it->second.server];
-    if (conn.in_flight > 0) --conn.in_flight;
-    in_flight_.erase(it);
-    finish_task(query, /*missed=*/false, /*failed=*/true, resolutions);
+    const auto it = in_flight_.find(timeouts_.begin()->second);
+    TG_CHECK_MSG(it != in_flight_.end(), "timeout entry without a task");
+    finish_task(retire_task(it), /*missed=*/false, /*failed=*/true,
+                resolutions);
   }
 }
 
@@ -399,11 +420,13 @@ void RemoteDispatcher::disconnect(ServerId server, TimeMs now,
   std::vector<TaskId> orphaned;
   for (const auto& [task, info] : in_flight_)
     if (info.server == server) orphaned.push_back(task);
-  for (TaskId task : orphaned) {
-    const QueryId query = in_flight_.at(task).query;
-    in_flight_.erase(task);
-    finish_task(query, /*missed=*/false, /*failed=*/true, resolutions);
-  }
+  for (TaskId task : orphaned)
+    finish_task(retire_task(in_flight_.find(task)), /*missed=*/false,
+                /*failed=*/true, resolutions);
+}
+
+bool RemoteDispatcher::send_inline(ServerConn& conn) {
+  return conn.out.flush(conn.fd.get()) != SendQueue::FlushResult::kDrained;
 }
 
 bool RemoteDispatcher::read_server(ServerId server,
@@ -414,6 +437,10 @@ bool RemoteDispatcher::read_server(ServerId server,
     const ssize_t n = ::recv(conn.fd.get(), buf, sizeof(buf), 0);
     if (n > 0) {
       conn.in.append(buf, static_cast<std::size_t>(n));
+      // A short read drained the socket. The poller is level-triggered, so
+      // stopping here loses nothing and saves the recv that would only
+      // return EAGAIN.
+      if (static_cast<std::size_t>(n) < sizeof(buf)) break;
     } else if (n == 0) {
       return false;
     } else {
@@ -447,10 +474,8 @@ void RemoteDispatcher::handle_frame(ServerId server, const Frame& frame,
       control_.observe_post_queuing_on(/*shard=*/0, server, msg.service_ms);
       const auto it = in_flight_.find(msg.task);
       if (it == in_flight_.end()) break;  // late reply after timeout/failover
-      const QueryId query = it->second.query;
-      if (conn.in_flight > 0) --conn.in_flight;
-      in_flight_.erase(it);
-      finish_task(query, msg.missed_deadline, /*failed=*/false, resolutions);
+      finish_task(retire_task(it), msg.missed_deadline, /*failed=*/false,
+                  resolutions);
       break;
     }
     case MsgType::kModelSync: {
@@ -508,6 +533,7 @@ void RemoteDispatcher::net_loop() {
   while (running_.load(std::memory_order_relaxed)) {
     std::vector<Resolution> resolutions;
     double poll_timeout_ms = 200.0;
+    int timeout_ms = 0;
     {
       MutexLock lock(mu_);
       const TimeMs now = now_ms();
@@ -534,12 +560,12 @@ void RemoteDispatcher::net_loop() {
       if (!timeouts_.empty())
         poll_timeout_ms =
             std::min(poll_timeout_ms, timeouts_.begin()->first - now);
+      timeout_ms = std::max(1, static_cast<int>(poll_timeout_ms) + 1);
+      loop_deadline_ms_ = now + timeout_ms;
     }
     resolve(std::move(resolutions));
     resolutions.clear();
 
-    const int timeout_ms =
-        std::max(1, static_cast<int>(poll_timeout_ms) + 1);
     events.clear();
     poller_->wait(events, timeout_ms);
     if (!running_.load(std::memory_order_relaxed)) break;
@@ -580,10 +606,10 @@ void RemoteDispatcher::net_loop() {
         if (!ok) disconnect(s, now, &resolutions);
       }
 
-      // Opportunistic flush over every live connection: submit() queues
-      // frames from caller threads and rings the wake pipe, so pending
-      // output usually arrives with no POLLOUT event at all. One vectored
-      // send drains a whole burst.
+      // Flush what is left to this thread: the Hello queued above, and
+      // output that submit() could not finish on the caller's thread (a
+      // full socket, now reported writable, or a broken one, whose error
+      // lands here and tears the connection down).
       for (std::size_t s = 0; s < servers_.size(); ++s) {
         ServerConn& conn = servers_[s];
         if (!conn.fd.valid() || conn.state == ConnState::kConnecting ||

@@ -146,6 +146,9 @@ class RemoteDispatcher {
   PlacementPolicyKind placement_kind() const;
   PlacementStats placement_stats() const;
 
+  /// Live per-task timeout entries: equals the number of tasks in flight.
+  std::size_t timeout_entries() const;
+
  private:
   enum class ConnState {
     kBackoff,      ///< disconnected, waiting for next_attempt_ms
@@ -180,10 +183,15 @@ class RemoteDispatcher {
     std::uint32_t gossip_queue_depth = 0;
   };
 
+  using TimeoutSet = std::multimap<TimeMs, TaskId>;
+
   struct InFlightTask {
     QueryId query = 0;
     ServerId server = 0;
+    /// This task's entry in timeouts_, erased together with the task.
+    TimeoutSet::iterator timeout_entry;
   };
+  using InFlightMap = std::unordered_map<TaskId, InFlightTask>;
 
   struct PendingQuery {
     std::promise<QueryResult> promise;
@@ -201,9 +209,16 @@ class RemoteDispatcher {
       TG_REQUIRES(mu_);
   void handle_frame(ServerId server, const Frame& frame,
                     std::vector<Resolution>* resolutions) TG_REQUIRES(mu_);
+  /// Sends `conn`'s queued frames on the calling thread. Returns true when
+  /// the net loop must take over: the socket is full (the loop arms
+  /// POLLOUT) or broken (teardown needs the single-threaded poller).
+  bool send_inline(ServerConn& conn) TG_REQUIRES(mu_);
+  /// Drops a task from in_flight_, timeouts_ and its server's in-flight
+  /// count. Returns the task's query.
+  QueryId retire_task(InFlightMap::iterator it) TG_REQUIRES(mu_);
   /// Records one finished/failed task; appends a resolution when it was the
   /// query's last.
-  void finish_task(TaskId task, bool missed, bool failed,
+  void finish_task(QueryId query, bool missed, bool failed,
                    std::vector<Resolution>* resolutions) TG_REQUIRES(mu_);
   void expire_timeouts(TimeMs now, std::vector<Resolution>* resolutions)
       TG_REQUIRES(mu_);
@@ -230,8 +245,16 @@ class RemoteDispatcher {
   /// gossip deltas feed it via the absorb path.
   ShardedControlPlane control_ TG_GUARDED_BY(mu_);
   std::unordered_map<QueryId, PendingQuery> pending_ TG_GUARDED_BY(mu_);
-  std::unordered_map<TaskId, InFlightTask> in_flight_ TG_GUARDED_BY(mu_);
-  std::multimap<TimeMs, TaskId> timeouts_ TG_GUARDED_BY(mu_);
+  InFlightMap in_flight_ TG_GUARDED_BY(mu_);
+  /// One entry per in-flight task, keyed by its expiry.
+  TimeoutSet timeouts_ TG_GUARDED_BY(mu_);
+  /// When the net loop's current wait ends at the latest. A submit whose
+  /// timeout expires earlier wakes the loop; otherwise the loop picks the
+  /// new entry up on its next round.
+  TimeMs loop_deadline_ms_ TG_GUARDED_BY(mu_) = 0.0;
+  /// submit()'s scratch list of the servers whose idle output queue it just
+  /// filled; a member so its capacity is reused.
+  std::vector<ServerId> send_now_ TG_GUARDED_BY(mu_);
   TaskId next_task_id_ TG_GUARDED_BY(mu_) = 0;
   /// Queries that degraded to an immediate all-tasks-failed result without
   /// ever registering with the control plane (no server reachable).

@@ -17,7 +17,11 @@
 //     syscall per readiness event instead of one per message.
 //
 // Single-threaded like the rest of a connection's state: the owner
-// serialises access (the net loops do so under their existing mutex).
+// serialises access under its loop mutex. Whichever thread queues frames
+// flushes them while it holds that mutex (a dispatcher's submitting thread,
+// a daemon's executor, or the net loop for frames it encodes itself); the
+// net loop takes over only after kBlocked (it waits for POLLOUT) or kError
+// (it tears the connection down).
 #pragma once
 
 #include <cstddef>

@@ -120,8 +120,12 @@ void WakePipe::wake() {
 }
 
 void WakePipe::drain() {
+  // A short read emptied the pipe. Anything written since then keeps the
+  // read end readable, and both poller backends are level-triggered, so
+  // the next wait reports it: no read that would only return EAGAIN.
   char buf[256];
-  while (::read(read_end_.get(), buf, sizeof(buf)) > 0) {
+  while (::read(read_end_.get(), buf, sizeof(buf)) ==
+         static_cast<ssize_t>(sizeof(buf))) {
   }
 }
 

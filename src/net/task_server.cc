@@ -48,13 +48,18 @@ void TaskServer::stop() {
   running_.store(false, std::memory_order_relaxed);
   wake_.wake();
   if (net_thread_.joinable()) net_thread_.join();
+  // Close every connection before draining: executors send their own
+  // TaskDones, so a connection left open would keep reporting after stop.
+  // Dispatchers see the disconnect now and fail what was in flight here.
+  {
+    MutexLock lock(mu_);
+    conns_.clear();
+    fd_conn_.clear();
+    listen_fd_.reset();
+  }
   // Drain the executors: queued tasks still run; their completions land in
   // pending_samples_ (every connection is gone by now).
   for (auto& e : executors_) e->shutdown();
-  MutexLock lock(mu_);
-  conns_.clear();
-  fd_conn_.clear();
-  listen_fd_.reset();
 }
 
 TimeMs TaskServer::now_ms() const {
@@ -103,6 +108,9 @@ bool TaskServer::read_connection(std::uint64_t conn_id, Connection& conn) {
     const ssize_t n = ::recv(conn.fd.get(), buf, sizeof(buf), 0);
     if (n > 0) {
       conn.in.append(buf, static_cast<std::size_t>(n));
+      // A short read drained the socket; the level-triggered poller reports
+      // anything that arrives later.
+      if (static_cast<std::size_t>(n) < sizeof(buf)) break;
     } else if (n == 0) {
       return false;  // peer closed
     } else {
@@ -199,14 +207,29 @@ void TaskServer::on_task_complete(ServerId /*executor*/,
     task_origin_.erase(origin_it);
   }
   msg.queue_ms = dequeue_ms - origin.enqueue_ms;
+  bool sent = false;
   const auto conn_it = conns_.find(origin.conn);
   if (conn_it != conns_.end() && conn_it->second.hello_done &&
       !conn_it->second.dead && conn_it->second.fd.valid()) {
-    // Completions land in the connection's coalescing buffer; a burst of
-    // them becomes one contiguous chunk and (after the wake) one sendmsg.
-    encode_into(msg, conn_it->second.out.chunk());
-    wake_.wake();
-  } else if (pending_samples_.size() < options_.max_buffered_samples) {
+    // The executor sends its own TaskDone. The net loop is woken only when
+    // the send cannot finish: a full socket needs POLLOUT armed, a broken
+    // one is torn down by the sweep, because the poller is single-threaded.
+    // A queue that already held output belongs to the loop (a blocked send
+    // woke it, or it queued the frames itself), which sends this one too.
+    Connection& conn = conn_it->second;
+    const bool idle = conn.out.empty();
+    encode_into(msg, conn.out.chunk());
+    sent = true;
+    if (idle) {
+      const SendQueue::FlushResult result = conn.out.flush(conn.fd.get());
+      if (result != SendQueue::FlushResult::kDrained) wake_.wake();
+      // On an error this TaskDone never left: it falls through to the
+      // ModelSync backfill below.
+      sent = result != SendQueue::FlushResult::kError;
+      conn.dead = !sent;
+    }
+  }
+  if (!sent && pending_samples_.size() < options_.max_buffered_samples) {
     // No dispatcher to tell: keep the observation for the next ModelSync.
     pending_samples_.push_back(msg.service_ms);
   }
@@ -258,10 +281,10 @@ void TaskServer::maybe_gossip(TimeMs now) {
 
 void TaskServer::flush_and_sweep_connections() {
   // Runs once per loop round, after the readiness events: flush whatever is
-  // queued (completions from executor threads arrive with a wake, not a
-  // POLLOUT, and a Hello handler queues its ack before any writability
-  // event — the opportunistic flush keeps both off the slow path), then
-  // close dead connections and refresh poller interest for the rest.
+  // queued (frames this thread encoded, such as a Hello's ack or a gossip
+  // delta, and TaskDones an executor could not finish sending because the
+  // socket was full), then close dead connections (including those an
+  // executor's send found broken) and refresh poller interest for the rest.
   for (auto it = conns_.begin(); it != conns_.end();) {
     Connection& conn = it->second;
     if (!conn.dead && conn.fd.valid() && !conn.out.empty() &&

@@ -3,11 +3,13 @@
 // the loopback end-to-end comparison against the in-process runtime and the
 // kill-a-daemon graceful-degradation path.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 
 #include <algorithm>
 #include <chrono>
+#include <fstream>
 #include <future>
 #include <map>
 #include <memory>
@@ -452,7 +454,25 @@ class TestClient {
     }
   }
 
+  /// Takes the next connection on `listen_fd` (waiting up to 2 s).
+  bool accept_from(int listen_fd) {
+    pollfd p{listen_fd, POLLIN, 0};
+    if (::poll(&p, 1, 2000) != 1) return false;
+    fd_.reset(::accept(listen_fd, nullptr, nullptr));
+    return fd_.valid() && net::set_nonblocking(fd_.get());
+  }
+
   void close() { fd_.reset(); }
+
+  int fd() const { return fd_.get(); }
+
+  /// Closes with a reset (SO_LINGER 0) instead of a FIN: the peer's next
+  /// send fails at once.
+  void abort() {
+    linger lin{.l_onoff = 1, .l_linger = 0};
+    ::setsockopt(fd_.get(), SOL_SOCKET, SO_LINGER, &lin, sizeof(lin));
+    fd_.reset();
+  }
 
  private:
   net::ScopedFd fd_;
@@ -619,9 +639,10 @@ TEST(RemoteDispatcher, SubmitsAndCompletesQueries) {
   }
   EXPECT_EQ(dispatcher.completed_queries(), 30u);
   EXPECT_EQ(dispatcher.failed_tasks(), 0u);
-  // Online updating: completions fed the per-server models.
-  const auto& model =
-      static_cast<const StreamingCdfModel&>(*dispatcher.server_model(0));
+  // Online updating: completions fed the per-server models. The snapshot
+  // is owned by the returned pointer, so keep it alive while reading.
+  const auto snapshot = dispatcher.server_model(0);
+  const auto& model = static_cast<const StreamingCdfModel&>(*snapshot);
   EXPECT_GT(model.observations(), 0u);
 }
 
@@ -677,6 +698,8 @@ TEST(RemoteDispatcher, TaskTimeoutFailsQueryNotHang) {
   const auto waited = std::chrono::steady_clock::now() - t0;
   EXPECT_EQ(r.tasks_failed, 1u);
   EXPECT_LT(waited, 600ms);  // resolved by the timeout, not the task
+  EXPECT_EQ(dispatcher.failed_tasks(), 1u);
+  EXPECT_EQ(dispatcher.timeout_entries(), 0u);
 
   // The late TaskDone must be absorbed without corrupting state, and the
   // dispatcher keeps working.
@@ -684,6 +707,69 @@ TEST(RemoteDispatcher, TaskTimeoutFailsQueryNotHang) {
   std::vector<net::RemoteTaskSpec> ok(1);
   ok[0].simulated_service_ms = 0.2;
   EXPECT_EQ(dispatcher.submit(0, std::move(ok)).get().tasks_failed, 0u);
+  EXPECT_EQ(dispatcher.failed_tasks(), 1u);  // failed exactly once
+  EXPECT_EQ(dispatcher.completed_queries(), 2u);
+  EXPECT_EQ(dispatcher.timeout_entries(), 0u);
+}
+
+TEST(RemoteDispatcher, ShortTaskTimeoutWakesTheIdleLoop) {
+  // A timeout shorter than the net loop's 200 ms idle wait. Each query is
+  // submitted just after the previous one resolved, when the loop has gone
+  // back to sleep for 200 ms: unless submit() wakes it, every expiry fires
+  // that late. The scripted daemon never answers, so nothing else wakes it.
+  std::string error;
+  net::ScopedFd listen_fd = net::listen_tcp(0, &error);
+  ASSERT_TRUE(listen_fd.valid()) << error;
+  net::DispatcherOptions options;
+  options.servers = {{"127.0.0.1", net::local_port(listen_fd.get())}};
+  options.classes = {{.slo_ms = 20.0, .percentile = 99.0}};
+  options.task_timeout_ms = 40.0;
+  net::RemoteDispatcher dispatcher(options);
+  TestClient peer;
+  ASSERT_TRUE(peer.accept_from(listen_fd.get()));
+  ASSERT_TRUE(peer.read_frame().has_value());  // Hello
+  peer.send_bytes(net::encode(net::HelloAckMsg{}));
+  ASSERT_TRUE(dispatcher.wait_for_servers(1, 5000.0));
+
+  constexpr int kQueries = 5;
+  std::vector<std::chrono::steady_clock::duration> waits;
+  for (int q = 0; q < kQueries; ++q) {
+    std::vector<net::RemoteTaskSpec> tasks(1);
+    tasks[0].server = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(dispatcher.submit(0, std::move(tasks)).get().tasks_failed, 1u);
+    waits.push_back(std::chrono::steady_clock::now() - t0);
+  }
+  // The median tolerates one slow round on a loaded host.
+  std::sort(waits.begin(), waits.end());
+  EXPECT_LT(waits[kQueries / 2], 150ms);
+  EXPECT_EQ(dispatcher.failed_tasks(), static_cast<std::uint64_t>(kQueries));
+  EXPECT_EQ(dispatcher.timeout_entries(), 0u);
+}
+
+TEST(RemoteDispatcher, CompletionFreesTimeoutEntry) {
+  // A task's timeout entry lives exactly as long as the task: answered
+  // tasks must not leave entries behind until their expiry.
+  auto fleet = start_fleet(2, Policy::kTfEdf, 1);
+  net::RemoteDispatcher dispatcher(dispatcher_options(
+      fleet, Policy::kTfEdf, {{.slo_ms = 100.0, .percentile = 99.0}}));
+  ASSERT_TRUE(dispatcher.wait_for_servers(2, 5000.0));
+
+  std::vector<net::RemoteTaskSpec> slow(2);
+  for (auto& t : slow) t.simulated_service_ms = 300.0;
+  auto slow_future = dispatcher.submit(0, std::move(slow));
+  EXPECT_EQ(dispatcher.timeout_entries(), 2u);
+
+  std::vector<std::future<QueryResult>> futures;
+  for (int q = 0; q < 40; ++q) {
+    std::vector<net::RemoteTaskSpec> tasks(1 + q % 3);
+    for (auto& t : tasks) t.simulated_service_ms = 0.05;
+    futures.push_back(dispatcher.submit(0, std::move(tasks)));
+  }
+  for (auto& f : futures) EXPECT_EQ(f.get().tasks_failed, 0u);
+  EXPECT_EQ(slow_future.get().tasks_failed, 0u);
+  EXPECT_EQ(dispatcher.completed_queries(), 41u);
+  EXPECT_EQ(dispatcher.timeout_entries(), 0u);
 }
 
 TEST(RemoteDispatcher, AdmissionControlShedsLoadBeforeTheWire) {
@@ -889,6 +975,260 @@ TEST(RemoteDispatcher, KilledServerDegradesGracefullyAndRejoins) {
   EXPECT_EQ(dispatcher.submit(0, std::move(pinned)).get().tasks_failed, 0u);
   EXPECT_GE(fleet[1]->tasks_executed(), 1u);
 }
+
+// ------------------------------------------- inline-send fallback paths
+//
+// Producers (submit() on the dispatcher, executors on a daemon) send on
+// their own thread and hand over to the net loop only when a send cannot
+// finish. These tests force each hand-over, on both poller backends.
+
+class InlineSendFallback
+    : public ::testing::TestWithParam<net::Poller::Backend> {
+ protected:
+  // Both net loops pick their backend at construction.
+  void SetUp() override {
+    ::setenv("TAILGUARD_NET_BACKEND",
+             GetParam() == net::Poller::Backend::kPoll ? "poll" : "epoll", 1);
+  }
+  void TearDown() override { ::unsetenv("TAILGUARD_NET_BACKEND"); }
+};
+
+/// The kernel's cap on a TCP send buffer (autotuning grows it that far).
+std::size_t tcp_send_buffer_max() {
+  std::ifstream in("/proc/sys/net/ipv4/tcp_wmem");
+  std::size_t min_b = 0, default_b = 0, max_b = 0;
+  if (in >> min_b >> default_b >> max_b) return max_b;
+  return 4u << 20;
+}
+
+TEST_P(InlineSendFallback, BackPressureNeverBlocksSubmitAndKeepsOrder) {
+  // A scripted daemon that answers the handshake and then stops reading.
+  std::string error;
+  net::ScopedFd listen_fd = net::listen_tcp(0, &error);
+  ASSERT_TRUE(listen_fd.valid()) << error;
+  const int small_buf = 4096;  // accepted sockets inherit it
+  ::setsockopt(listen_fd.get(), SOL_SOCKET, SO_RCVBUF, &small_buf,
+               sizeof(small_buf));
+  net::DispatcherOptions options;
+  options.servers = {{"127.0.0.1", net::local_port(listen_fd.get())}};
+  options.classes = {{.slo_ms = 100.0, .percentile = 99.0}};
+  options.task_timeout_ms = 60000.0;  // nothing may expire while stalled
+  net::RemoteDispatcher dispatcher(options);
+
+  TestClient peer;
+  ASSERT_TRUE(peer.accept_from(listen_fd.get()));
+  ASSERT_TRUE(peer.read_frame().has_value());  // Hello
+  peer.send_bytes(net::encode(net::HelloAckMsg{}));
+  ASSERT_TRUE(dispatcher.wait_for_servers(1, 5000.0));
+
+  // Queue more than the peer's receive buffer and our send buffer can
+  // hold together, so the tail has to wait in the dispatcher's SendQueue.
+  const std::size_t frame_bytes = net::encode(net::SubmitTaskMsg{}).size();
+  constexpr std::size_t kFanout = 100;
+  const std::size_t queries =
+      (tcp_send_buffer_max() + (1u << 20)) / (frame_bytes * kFanout) + 1;
+  std::vector<std::future<QueryResult>> futures;
+  futures.reserve(queries);
+  auto slowest = std::chrono::steady_clock::duration::zero();
+  for (std::size_t q = 0; q < queries; ++q) {
+    std::vector<net::RemoteTaskSpec> tasks(kFanout);
+    for (auto& t : tasks) t.server = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    futures.push_back(dispatcher.submit(0, std::move(tasks)));
+    slowest = std::max(slowest, std::chrono::steady_clock::now() - t0);
+  }
+  // A submit that waited on the socket would never have returned: the
+  // peer reads nothing until every submit is back.
+  EXPECT_LT(slowest, 1s);
+
+  // The peer reads again: every SubmitTask arrives once, in order.
+  const std::size_t total = queries * kFanout;
+  std::vector<std::uint8_t> replies;
+  for (std::size_t i = 0; i < total; ++i) {
+    const auto frame = peer.read_frame();
+    ASSERT_TRUE(frame.has_value()) << "stalled after " << i << " of "
+                                   << total << " tasks";
+    net::SubmitTaskMsg msg;
+    ASSERT_TRUE(net::decode(*frame, &msg));
+    ASSERT_EQ(msg.task, i);
+    net::TaskDoneMsg done;
+    done.task = msg.task;
+    done.query = msg.query;
+    done.service_ms = 0.01;
+    net::encode_into(done, replies);
+  }
+  EXPECT_FALSE(peer.read_frame(/*timeout_ms=*/100).has_value());
+
+  // Answer everything: the dispatcher keeps working after the stall.
+  peer.send_bytes(replies);
+  for (auto& f : futures) EXPECT_EQ(f.get().tasks_failed, 0u);
+  EXPECT_EQ(dispatcher.failed_tasks(), 0u);
+  EXPECT_EQ(dispatcher.timeout_entries(), 0u);
+}
+
+TEST_P(InlineSendFallback, SubmitWhileDaemonStopsResolvesEachQueryOnce) {
+  auto fleet = start_fleet(1, Policy::kTfEdf, 1);
+  auto options = dispatcher_options(fleet, Policy::kTfEdf,
+                                    {{.slo_ms = 100.0, .percentile = 99.0}});
+  options.task_timeout_ms = 60000.0;  // failures must come from teardown
+  net::RemoteDispatcher dispatcher(options);
+  ASSERT_TRUE(dispatcher.wait_for_servers(1, 5000.0));
+
+  // The daemon goes away under a stream of submits. It stops reading
+  // first, then closes with SubmitTasks unread, which resets the
+  // connection. The dispatcher learns of that only in its net loop, so
+  // submits that win the race send into a reset socket on this thread.
+  constexpr std::size_t kFanout = 2;
+  constexpr std::size_t kAfterStop = 50;  // submits once the server is down
+  std::thread killer([&fleet] { fleet[0]->stop(); });
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<std::future<QueryResult>> futures;
+  std::size_t after_stop = 0;
+  while (after_stop < kAfterStop && futures.size() < 200000) {
+    if (dispatcher.alive_servers() == 0) ++after_stop;
+    std::vector<net::RemoteTaskSpec> tasks(kFanout);
+    for (auto& t : tasks) t.server = 0;
+    futures.push_back(dispatcher.submit(0, std::move(tasks)));
+  }
+  killer.join();
+  ASSERT_EQ(after_stop, kAfterStop);
+
+  // get() may be called once per future; a second resolution of any
+  // query would have thrown inside the dispatcher instead.
+  std::uint64_t failed = 0;
+  for (auto& f : futures) {
+    const QueryResult r = f.get();
+    EXPECT_LE(r.tasks_failed, kFanout);
+    failed += r.tasks_failed;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 10s);
+  EXPECT_GE(failed, kAfterStop * kFanout);
+  EXPECT_EQ(dispatcher.completed_queries(), futures.size());
+  EXPECT_EQ(dispatcher.failed_tasks(), failed);
+  EXPECT_EQ(dispatcher.timeout_entries(), 0u);
+}
+
+TEST_P(InlineSendFallback, DaemonBackfillsTaskDoneOfVanishedDispatcher) {
+  // The dispatcher resets its connection while the executor is completing
+  // a task, with more queued behind it. Each of those TaskDones can no
+  // longer be sent and must become exactly one ModelSync sample. Which
+  // path drops it is a race: usually the net loop has already closed the
+  // connection, and the executor's own failed send happens only when the
+  // loop is late. DaemonBackfillsTaskDoneWhoseSendFails forces the latter.
+  net::TaskServer server(net::TaskServerOptions{});
+  constexpr std::uint64_t kTasks = 50;
+  {
+    TestClient first;
+    ASSERT_TRUE(first.connect_to(server.port()));
+    first.send_bytes(net::encode(net::HelloMsg{}));
+    ASSERT_TRUE(first.read_frame().has_value());  // ack
+    std::vector<std::uint8_t> burst;
+    for (std::uint64_t t = 1; t <= kTasks; ++t) {
+      net::SubmitTaskMsg submit;
+      submit.task = t;
+      submit.query = t;
+      // Task 1 runs first (earliest deadline) and long enough for the
+      // reset to land mid-task; the rest queue behind it.
+      submit.relative_deadline_ms = t == 1 ? 10.0 : 1000.0;
+      submit.simulated_service_ms = t == 1 ? 300.0 : 0.1;
+      net::encode_into(submit, burst);
+    }
+    first.send_bytes(burst);
+    const auto deadline = std::chrono::steady_clock::now() + 3s;
+    while (server.queue_depth() != kTasks - 1 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(1ms);
+    ASSERT_EQ(server.queue_depth(), kTasks - 1);
+    first.abort();
+  }
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (server.tasks_executed() < kTasks &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(5ms);
+  ASSERT_EQ(server.tasks_executed(), kTasks);
+
+  TestClient second;
+  ASSERT_TRUE(second.connect_to(server.port()));
+  second.send_bytes(net::encode(net::HelloMsg{}));
+  ASSERT_TRUE(second.read_frame().has_value());  // ack
+  const auto sync_frame = second.read_frame();
+  ASSERT_TRUE(sync_frame.has_value());
+  net::ModelSyncMsg sync;
+  ASSERT_TRUE(net::decode(*sync_frame, &sync));
+  EXPECT_EQ(sync.samples_ms.size(), kTasks);
+
+  // The daemon still serves the new connection.
+  net::SubmitTaskMsg submit;
+  submit.task = kTasks + 1;
+  submit.relative_deadline_ms = 1000.0;
+  second.send_bytes(net::encode(submit));
+  const auto done_frame = second.read_frame();
+  ASSERT_TRUE(done_frame.has_value());
+  net::TaskDoneMsg done;
+  ASSERT_TRUE(net::decode(*done_frame, &done));
+  EXPECT_EQ(done.task, kTasks + 1);
+}
+
+/// The in-process daemon's end of a client's connection: the socket whose
+/// peer is the client's local address. -1 when there is none.
+int daemon_end_of(int client_fd) {
+  sockaddr_in client{};
+  socklen_t len = sizeof(client);
+  if (::getsockname(client_fd, reinterpret_cast<sockaddr*>(&client), &len))
+    return -1;
+  for (int fd = 0; fd < 4096; ++fd) {
+    sockaddr_in peer{};
+    len = sizeof(peer);
+    if (fd != client_fd &&
+        ::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &len) == 0 &&
+        peer.sin_family == AF_INET && peer.sin_port == client.sin_port &&
+        peer.sin_addr.s_addr == client.sin_addr.s_addr)
+      return fd;
+  }
+  return -1;
+}
+
+TEST_P(InlineSendFallback, DaemonBackfillsTaskDoneWhoseSendFails) {
+  // The daemon's end of the connection is shut for writing behind its net
+  // loop's back. Nothing becomes readable or hung up, so the loop keeps the
+  // connection, and the first send on it is the executor's TaskDone, which
+  // fails (EPIPE). That TaskDone must become a ModelSync sample.
+  net::TaskServer server(net::TaskServerOptions{});
+  TestClient first;
+  ASSERT_TRUE(first.connect_to(server.port()));
+  first.send_bytes(net::encode(net::HelloMsg{}));
+  ASSERT_TRUE(first.read_frame().has_value());  // ack
+  const int daemon_fd = daemon_end_of(first.fd());
+  ASSERT_GE(daemon_fd, 0);
+  ASSERT_EQ(::shutdown(daemon_fd, SHUT_WR), 0);
+
+  net::SubmitTaskMsg submit;
+  submit.task = 1;
+  submit.query = 1;
+  submit.relative_deadline_ms = 1000.0;
+  submit.simulated_service_ms = 0.1;
+  first.send_bytes(net::encode(submit));
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (server.tasks_executed() < 1 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(1ms);
+  ASSERT_EQ(server.tasks_executed(), 1u);
+
+  TestClient second;
+  ASSERT_TRUE(second.connect_to(server.port()));
+  second.send_bytes(net::encode(net::HelloMsg{}));
+  ASSERT_TRUE(second.read_frame().has_value());  // ack
+  const auto sync_frame = second.read_frame();
+  ASSERT_TRUE(sync_frame.has_value());
+  net::ModelSyncMsg sync;
+  ASSERT_TRUE(net::decode(*sync_frame, &sync));
+  ASSERT_EQ(sync.samples_ms.size(), 1u);
+  EXPECT_GE(sync.samples_ms[0], 0.1);  // the task's measured service time
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, InlineSendFallback,
+                         ::testing::Values(net::Poller::Backend::kEpoll,
+                                           net::Poller::Backend::kPoll));
 
 }  // namespace
 }  // namespace tailguard
