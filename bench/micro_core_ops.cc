@@ -47,18 +47,16 @@ BENCHMARK_CAPTURE(BM_QueuePushPop, tf_edf, Policy::kTfEdf)
     ->Arg(100)
     ->Arg(10000);
 
-// ------------------------------------------ EDF backends: wheel vs heap
+// ------------------------------------------------------ EDF depth sweep
 //
-// Steady-state push+pop against both pop-order-identical EDF structures,
-// swept across queue depth (1e2..1e6) and deadline distribution:
-//   * uniform    — deadlines spread over ~4000 wheel ticks; the calendar
-//                  queue's O(1) bucketing should shine as depth grows,
+// Steady-state push+pop on the EDF heap, swept across queue depth
+// (1e2..1e6) and deadline distribution:
+//   * uniform    — deadlines spread over 1000 ms,
 //   * clustered  — deadlines pile up around a few class SLOs (the realistic
 //                  TailGuard shape: every class maps arrivals to t0 + SLO),
-//   * same_bucket — adversarial: every deadline lands inside ONE 0.25 ms
-//                  wheel tick, collapsing the wheel to a single slot whose
-//                  in-slot ordering does all the work. This is the wheel's
-//                  worst case and bounds the regression vs the heap.
+//   * same_bucket — every deadline inside one 0.2 ms window.
+// results/BENCH_micro_core_ops.json also holds the timer-wheel rows that
+// DESIGN.md §8.1 cites for deleting the wheel.
 
 enum class DeadlinePattern { kUniform, kClustered, kSameBucket };
 
@@ -71,16 +69,14 @@ double draw_deadline(Rng& rng, DeadlinePattern pattern) {
       return kSlos[rng.uniform_index(3)] + rng.uniform(0.0, 2.0);
     }
     case DeadlinePattern::kSameBucket:
-      // All inside one kDefaultTickMs=0.25 bucket.
       return 500.0 + rng.uniform(0.0, 0.2);
   }
   return 0.0;
 }
 
-void BM_EdfQueueSweep(benchmark::State& state, EdfQueueImpl impl,
-                      DeadlinePattern pattern) {
+void BM_EdfQueueSweep(benchmark::State& state, DeadlinePattern pattern) {
   const auto depth = static_cast<std::size_t>(state.range(0));
-  const auto queue = make_task_queue(Policy::kTfEdf, 1, impl);
+  const auto queue = make_task_queue(Policy::kTfEdf);
   Rng rng(42);
   std::vector<QueuedTask> seed(depth);
   for (std::size_t i = 0; i < depth; ++i) {
@@ -97,23 +93,14 @@ void BM_EdfQueueSweep(benchmark::State& state, EdfQueueImpl impl,
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-#define TG_EDF_SWEEP(name, impl, pattern)                        \
-  BENCHMARK_CAPTURE(BM_EdfQueueSweep, name, impl, pattern)       \
-      ->RangeMultiplier(10)                                      \
+#define TG_EDF_SWEEP(name, pattern)                  \
+  BENCHMARK_CAPTURE(BM_EdfQueueSweep, name, pattern) \
+      ->RangeMultiplier(10)                          \
       ->Range(100, 1000000)
 
-TG_EDF_SWEEP(wheel_uniform, EdfQueueImpl::kTimerWheel,
-             DeadlinePattern::kUniform);
-TG_EDF_SWEEP(heap_uniform, EdfQueueImpl::kBinaryHeap,
-             DeadlinePattern::kUniform);
-TG_EDF_SWEEP(wheel_clustered, EdfQueueImpl::kTimerWheel,
-             DeadlinePattern::kClustered);
-TG_EDF_SWEEP(heap_clustered, EdfQueueImpl::kBinaryHeap,
-             DeadlinePattern::kClustered);
-TG_EDF_SWEEP(wheel_same_bucket, EdfQueueImpl::kTimerWheel,
-             DeadlinePattern::kSameBucket);
-TG_EDF_SWEEP(heap_same_bucket, EdfQueueImpl::kBinaryHeap,
-             DeadlinePattern::kSameBucket);
+TG_EDF_SWEEP(heap_uniform, DeadlinePattern::kUniform);
+TG_EDF_SWEEP(heap_clustered, DeadlinePattern::kClustered);
+TG_EDF_SWEEP(heap_same_bucket, DeadlinePattern::kSameBucket);
 
 #undef TG_EDF_SWEEP
 

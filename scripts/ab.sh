@@ -12,7 +12,11 @@
 # revision, the ratio of the medians (b / a) and in how many pairs b was
 # better. The run length (run_seconds) and the metric directions come from
 # rev-a's BENCHMARK.json; for text-report figures (AB_FIGURES) "better"
-# means lower.
+# means higher for the throughput figures (sim_tasks_per_s, max_load,
+# admit_frac, inproc.qps, tcp.qps) and lower for the rest. A last parity
+# line says whether every sim.fingerprint.* and max_load line of each run
+# is identical between the two revisions (same seed, so a change that keeps
+# schedules must keep them).
 #
 # Environment:
 #   AB_TRACE    1 = traced runs, which add the per-layer metrics (default 0)
@@ -90,15 +94,24 @@ import json, os, re, statistics, sys
 out_dir, runs, figures = sys.argv[1], int(sys.argv[2]), sys.argv[3].split()
 spec = json.load(open(os.path.join(out_dir, "a", "BENCHMARK.json")))
 better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+# Text-report figures are not in BENCHMARK.json; these are higher-is-better,
+# every other figure is lower-is-better.
+for name in ("sim_tasks_per_s", "max_load", "admit_frac", "inproc.qps", "tcp.qps"):
+    better.setdefault(name, "higher")
 row = re.compile(r"^\s+(\S+)\s+([-+0-9.eE]+|nan|inf)\s+(\S+)")
+parity_row = re.compile(r"^\s+(sim\.fingerprint\.\d+|max_load)\s")
+
+
+def read_lines(path):
+    try:
+        return open(path).read().splitlines()
+    except OSError:
+        return []
 
 
 def parse(path):
     """Returns (result JSON or None, {metric: (value, unit)})."""
-    try:
-        lines = open(path).read().splitlines()
-    except OSError:
-        return None, {}
+    lines = read_lines(path)
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
@@ -150,4 +163,23 @@ for name in names:
     ratio = mb / ma if ma else float("nan")
     print(f"{name:<26} {unit:<6} {ma:>12.6g} {ia:>10.3g} {mb:>12.6g} "
           f"{ib:>10.3g} {ratio:>7.3f} {wins:>4}/{total:<4}")
+
+
+
+# Schedule parity: the same seed must print the same fingerprints and max_load.
+def parity_lines(side, i):
+    path = os.path.join(out_dir, "out", f"{side}.{i}.txt")
+    return [line.strip() for line in read_lines(path) if parity_row.match(line)]
+
+
+pairs = [(parity_lines("a", i), parity_lines("b", i)) for i in range(1, runs + 1)]
+compared = sum(len(a) for a, _ in pairs)
+differ = [i for i, (a, b) in enumerate(pairs, 1) if a != b]
+if compared == 0 and not differ:
+    print("\nparity: no sim.fingerprint.* or max_load lines to compare")
+elif differ:
+    print(f"\nparity: sim.fingerprint.*/max_load DIFFER in pairs {differ}")
+else:
+    print(f"\nparity: sim.fingerprint.*/max_load identical in all {runs} pairs "
+          f"({compared} lines per side)")
 EOF

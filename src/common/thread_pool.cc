@@ -97,8 +97,9 @@ std::size_t ThreadPool::parse_thread_count(const char* value) {
 }
 
 std::size_t ThreadPool::configured_threads() {
-  const std::size_t from_env =
-      parse_thread_count(std::getenv("TAILGUARD_THREADS"));
+  // tg-lint: allow(env-read) until callers pass a thread count
+  const char* env = std::getenv("TAILGUARD_THREADS");
+  const std::size_t from_env = parse_thread_count(env);
   if (from_env > 0) return from_env;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

@@ -24,6 +24,7 @@ const char* placement_kind_name(PlacementPolicyKind kind) {
 
 PlacementPolicyOptions placement_from_env() {
   PlacementPolicyOptions opts;
+  // tg-lint: allow(env-read) until callers pass PlacementPolicyOptions
   if (const char* env = std::getenv("TAILGUARD_PLACEMENT")) {
     if (std::strcmp(env, "least_loaded") == 0) {
       opts.kind = PlacementPolicyKind::kLeastLoaded;
@@ -37,6 +38,7 @@ PlacementPolicyOptions placement_from_env() {
                               << env << "'");
     }
   }
+  // tg-lint: allow(env-read) until callers pass PlacementPolicyOptions
   if (const char* env = std::getenv("TAILGUARD_PLACEMENT_D")) {
     char* end = nullptr;
     const long d = std::strtol(env, &end, 10);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/check.h"
 
@@ -97,89 +95,10 @@ const QueuedTask& EdfTaskQueue::peek() const {
   return heap_.front();
 }
 
-// -------------------------------------------------------- EDF, timer wheel
-
-TimerWheelEdfQueue::TimerWheelEdfQueue(Policy reported_policy, double tick_ms)
-    : tick_ms_(tick_ms), reported_policy_(reported_policy) {
-  TG_CHECK_MSG(tick_ms > 0.0, "timer wheel tick must be positive");
-  TG_CHECK_MSG(
-      reported_policy == Policy::kTEdf || reported_policy == Policy::kTfEdf,
-      "TimerWheelEdfQueue reports only the EDF policies");
-}
-
-void TimerWheelEdfQueue::push(const QueuedTask& incoming) {
-  const std::uint64_t seq = next_seq_++;
-  if (wheel_live()) {
-    // Backlogged: the array already spilled; keep filing into the wheel
-    // until it drains so only one structure is ever live.
-    QueuedTask task = incoming;
-    task.seq = seq;
-    wheel_->push(std::move(task));
-    return;
-  }
-  // Append path: `incoming` outranks the tail iff its deadline is >= —
-  // ExactLess falls through to seq on ties and the fresh seq is the maximum.
-  // Copies straight into the vector, no staging copy.
-  if (array_.size() == head_ ||
-      (array_.size() - head_ < kSpillDepth &&
-       array_.back().deadline <= incoming.deadline)) {
-    array_.push_back(incoming);
-    array_.back().seq = seq;
-    return;
-  }
-  QueuedTask task = incoming;
-  task.seq = seq;
-  if (array_.size() - head_ >= kSpillDepth) {
-    if (wheel_ == nullptr) wheel_ = std::make_unique<Wheel>(tick_ms_);
-    for (std::size_t i = head_; i < array_.size(); ++i)
-      wheel_->push(std::move(array_[i]));
-    array_.clear();
-    head_ = 0;
-    wheel_->push(std::move(task));
-    return;
-  }
-  const auto pos = std::upper_bound(array_.begin() + head_, array_.end(),
-                                    task, ExactLess{});
-  array_.insert(pos, std::move(task));
-}
-
-QueuedTask TimerWheelEdfQueue::pop() {
-  TG_CHECK_MSG(size() > 0, "pop from empty EDF queue");
-  if (wheel_live()) return wheel_->pop();
-  QueuedTask out = std::move(array_[head_++]);
-  if (head_ == array_.size()) {
-    array_.clear();
-    head_ = 0;
-  } else if (head_ >= 2 * kSpillDepth) {
-    // Bound the consumed prefix so steady push/pop traffic cannot grow the
-    // vector without limit; the live window is at most kSpillDepth items.
-    array_.erase(array_.begin(), array_.begin() + head_);
-    head_ = 0;
-  }
-  return out;
-}
-
-const QueuedTask& TimerWheelEdfQueue::peek() const {
-  TG_CHECK_MSG(size() > 0, "peek into empty EDF queue");
-  return wheel_live() ? wheel_->peek() : array_[head_];
-}
-
 // ----------------------------------------------------------------- factory
 
-EdfQueueImpl resolve_edf_queue_impl(EdfQueueImpl impl) {
-  if (impl != EdfQueueImpl::kDefault) return impl;
-  if (const char* env = std::getenv("TAILGUARD_EDF_IMPL")) {
-    if (std::strcmp(env, "heap") == 0) return EdfQueueImpl::kBinaryHeap;
-    TG_CHECK_MSG(std::strcmp(env, "wheel") == 0,
-                 "TAILGUARD_EDF_IMPL must be 'heap' or 'wheel', got '"
-                     << env << "'");
-  }
-  return EdfQueueImpl::kTimerWheel;
-}
-
 std::unique_ptr<TaskQueue> make_task_queue(Policy policy,
-                                           std::size_t num_classes,
-                                           EdfQueueImpl edf_impl) {
+                                           std::size_t num_classes) {
   switch (policy) {
     case Policy::kFifo:
       return std::make_unique<FifoTaskQueue>();
@@ -187,9 +106,7 @@ std::unique_ptr<TaskQueue> make_task_queue(Policy policy,
       return std::make_unique<ClassPriorityTaskQueue>(num_classes);
     case Policy::kTEdf:
     case Policy::kTfEdf:
-      if (resolve_edf_queue_impl(edf_impl) == EdfQueueImpl::kBinaryHeap)
-        return std::make_unique<EdfTaskQueue>(policy);
-      return std::make_unique<TimerWheelEdfQueue>(policy);
+      return std::make_unique<EdfTaskQueue>(policy);
   }
   TG_CHECK_MSG(false, "unknown policy");
   return nullptr;

@@ -11,7 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/timer_wheel.h"
 #include "core/types.h"
 
 namespace tailguard {
@@ -120,81 +119,9 @@ class EdfTaskQueue final : public TaskQueue {
   std::uint64_t next_seq_ = 0;
 };
 
-/// Earliest-deadline-first on a hierarchical timer wheel (calendar queue):
-/// O(1) amortized push/pop instead of the binary heap's O(log n), with pop
-/// order *bit-identical* to EdfTaskQueue — same (deadline, seq) total order,
-/// so swapping implementations cannot change any schedule (see
-/// common/timer_wheel.h for how exactness survives bucketing).
-class TimerWheelEdfQueue final : public TaskQueue {
- public:
-  /// Default tick: 1/4 ms. SLO-scale deadlines (tens of ms) then spread over
-  /// a few hundred level-0/1 slots, keeping slot heaps near-singleton.
-  static constexpr double kDefaultTickMs = 0.25;
-
-  /// Below this depth the queue is a sorted array, not the wheel. A wheel
-  /// push touches a different slot (a different cache line) per deadline
-  /// tick, so at the near-empty depths a well-provisioned server runs at,
-  /// the wheel pays a cold miss per operation where a tiny sorted window is
-  /// one hot line. Deadlines arrive roughly in order, so the common insert
-  /// is an append; pop is an index bump. The array spills wholesale into
-  /// the wheel when a backlog forms and resumes only once the wheel drains,
-  /// so at any instant exactly one of the two holds the queue and the merged
-  /// pop order stays the exact (deadline, seq) order.
-  static constexpr std::size_t kSpillDepth = 32;
-
-  /// `reported_policy` must be kTEdf or kTfEdf.
-  explicit TimerWheelEdfQueue(Policy reported_policy,
-                              double tick_ms = kDefaultTickMs);
-  void push(const QueuedTask& task) override;
-  QueuedTask pop() override;
-  const QueuedTask& peek() const override;
-  std::size_t size() const override {
-    return (wheel_ ? wheel_->size() : 0) + (array_.size() - head_);
-  }
-  Policy policy() const override { return reported_policy_; }
-
- private:
-  struct ExactLess {
-    bool operator()(const QueuedTask& a, const QueuedTask& b) const {
-      if (a.deadline != b.deadline) return a.deadline < b.deadline;
-      return a.seq < b.seq;
-    }
-  };
-  struct DeadlineKey {
-    double operator()(const QueuedTask& t) const { return t.deadline; }
-  };
-  using Wheel = TimerWheel<QueuedTask, ExactLess, DeadlineKey>;
-
-  bool wheel_live() const { return wheel_ != nullptr && !wheel_->empty(); }
-
-  // The wheel is built on first spill: a server that never backlogs past
-  // kSpillDepth never pays for the slot arrays (or their teardown).
-  std::unique_ptr<Wheel> wheel_;
-  std::vector<QueuedTask> array_;  ///< ascending (deadline, seq), shallow mode
-  std::size_t head_ = 0;           ///< first live element of array_
-  double tick_ms_;
-  Policy reported_policy_;
-  std::uint64_t next_seq_ = 0;
-};
-
-/// Which concrete structure backs the EDF policies: the binary heap
-/// (EdfTaskQueue) or the timer wheel (TimerWheelEdfQueue). The two are
-/// pop-order-identical; the knob exists so benches can A/B them and so a
-/// regression can be bisected from the command line via TAILGUARD_EDF_IMPL.
-enum class EdfQueueImpl {
-  kDefault,     ///< TAILGUARD_EDF_IMPL env override, else the timer wheel
-  kBinaryHeap,  ///< EdfTaskQueue
-  kTimerWheel,  ///< TimerWheelEdfQueue
-};
-
-/// Resolves kDefault against the TAILGUARD_EDF_IMPL environment variable
-/// ("heap" or "wheel"); explicit values pass through unchanged.
-EdfQueueImpl resolve_edf_queue_impl(EdfQueueImpl impl);
-
 /// Builds the queue discipline for `policy`. `num_classes` is only consulted
-/// by PRIQ; `edf_impl` only by the EDF policies.
-std::unique_ptr<TaskQueue> make_task_queue(
-    Policy policy, std::size_t num_classes = 1,
-    EdfQueueImpl edf_impl = EdfQueueImpl::kDefault);
+/// by PRIQ.
+std::unique_ptr<TaskQueue> make_task_queue(Policy policy,
+                                           std::size_t num_classes = 1);
 
 }  // namespace tailguard

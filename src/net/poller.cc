@@ -114,6 +114,7 @@ std::unique_ptr<Poller> Poller::create(Backend backend) {
 }
 
 std::unique_ptr<Poller> Poller::create() {
+  // tg-lint: allow(env-read) until callers pass a Backend
   const char* env = std::getenv("TAILGUARD_NET_BACKEND");
   if (env != nullptr && std::string(env) == "poll")
     return create(Backend::kPoll);

@@ -34,6 +34,7 @@ std::vector<LoadPoint> sweep_loads(SimConfig config,
 
 std::size_t scaled_queries(std::size_t base) {
   double scale = 1.0;
+  // tg-lint: allow(env-read) until benches pass a scale
   if (const char* env = std::getenv("TAILGUARD_BENCH_SCALE")) {
     char* end = nullptr;
     const double parsed = std::strtod(env, &end);

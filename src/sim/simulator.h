@@ -107,14 +107,6 @@ struct SimConfig {
 
   std::uint64_t seed = 1;
 
-  /// Structure backing the per-server EDF queues: binary heap or the
-  /// exact-order timer wheel (with its sorted-array front). Both produce
-  /// bit-identical schedules; kDefault resolves via TAILGUARD_EDF_IMPL so
-  /// whole-figure runs can be A/B'd from the shell. (The simulator's own
-  /// future-event set has a separate knob, TAILGUARD_EVENT_QUEUE, defaulting
-  /// to the binary heap — see EventQueue in simulator.cc.)
-  EdfQueueImpl edf_impl = EdfQueueImpl::kDefault;
-
   EstimationMode estimation = EstimationMode::kExact;
   /// Offline profiling sample size per model (kOfflineEmpirical /
   /// kOnlineStreaming).

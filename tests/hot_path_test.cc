@@ -5,10 +5,10 @@
 //    SimResult::event_loop_allocs reports real allocation counts. The loop's
 //    structures are slab-pooled and pre-reserved, so the count must not
 //    scale with the query count (amortized vector doublings only).
-//  * Batched same-timestamp completion draining is pure restructuring: for
-//    randomized seeds and loads the results are bit-identical across the
-//    three event-queue backings (dense / heap / wheel), which pop the same
-//    event sequence one way or another, and across repeated runs.
+//  * The future-event set's two layouts (dense / heap) pop the same
+//    (time, server) sequence for the same stream of completions, and a
+//    run's batched same-timestamp completion draining is repeatable: the
+//    results of repeated runs are bit-identical.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,7 +20,9 @@
 #include <vector>
 
 #include "common/alloc_probe.h"
+#include "common/rng.h"
 #include "dist/standard.h"
+#include "sim/event_queue.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
 
@@ -149,42 +151,72 @@ TEST(HotPathAlloc, NoHookMeansZeroReported) {
   set_alloc_count_fn(&news_count);
 }
 
-TEST(BatchedCompletionParity, BitIdenticalAcrossBackendsSeedsAndLoads) {
-  for (const std::uint64_t seed : {1ULL, 7ULL, 13ULL}) {
-    for (const double load : {0.3, 0.7, 0.95}) {
-      SimConfig cfg = hot_config(8000, seed);
-      set_load(cfg, load);
-      std::vector<std::uint64_t> prints;
-      for (const char* backend : {"dense", "heap", "wheel"}) {
-        ::setenv("TAILGUARD_EVENT_QUEUE", backend, 1);
-        prints.push_back(fingerprint(run_simulation(cfg)));
+// Drives a dense-layout and a heap-layout EventQueue with one randomized
+// stream of completions — at most one pending per server, many equal times,
+// pops interleaved with pushes — and requires identical (time, server) pops
+// and identical peek_time/empty after every operation. 20 is hot_config's
+// server count; the others are not multiples of the 8-server block, so the
+// kIdle padding is covered. The counts stop at 512 on purpose: above 512
+// servers the dense rescan shifts its 64-bit block mask by >= 64, a known
+// defect recorded in ROADMAP.md that this test does not cover.
+TEST(EventQueueLayouts, DenseAndHeapPopIdenticalSequences) {
+  using sim_internal::Event;
+  using sim_internal::EventQueue;
+  for (const std::size_t servers : {20, 1, 7, 13, 100, 509, 512}) {
+    EventQueue dense(0, servers);
+    EventQueue heap(servers, 0);
+    std::vector<bool> pending(servers, false);
+    std::vector<ServerId> idle;
+    Rng rng(servers);
+    TimeMs now = 0.0;
+    for (int step = 0; step < 20000; ++step) {
+      idle.clear();
+      for (std::size_t s = 0; s < servers; ++s)
+        if (!pending[s]) idle.push_back(static_cast<ServerId>(s));
+      if (!idle.empty() && (dense.empty() || rng.bernoulli(0.55))) {
+        const ServerId sid = idle[rng.uniform_index(idle.size())];
+        // Quarter-ms grid a few steps ahead: equal times are common.
+        const TimeMs t =
+            now + 0.25 * static_cast<double>(rng.uniform_index(4));
+        dense.push(Event(t, Event::kTaskDone, sid));
+        heap.push(Event(t, Event::kTaskDone, sid));
+        pending[sid] = true;
+      } else {
+        const Event a = dense.pop();
+        const Event b = heap.pop();
+        ASSERT_EQ(a.time, b.time) << servers << " servers, step " << step;
+        ASSERT_EQ(a.server(), b.server())
+            << servers << " servers, step " << step;
+        ASSERT_GE(a.time, now);
+        pending[a.server()] = false;
+        now = a.time;
       }
-      ::unsetenv("TAILGUARD_EVENT_QUEUE");
-      // Re-run with the default backing: repeatability of the batch drain.
-      prints.push_back(fingerprint(run_simulation(cfg)));
-      for (std::size_t i = 1; i < prints.size(); ++i)
-        EXPECT_EQ(prints[i], prints[0])
-            << "seed " << seed << " load " << load << " variant " << i;
+      ASSERT_EQ(dense.empty(), heap.empty());
+      if (!dense.empty()) {
+        ASSERT_EQ(dense.peek_time(), heap.peek_time());
+      }
     }
   }
 }
 
-TEST(BatchedCompletionParity, NetworkModelRunsAgreeAcrossTreeBackends) {
-  // With dispatch/result delays every timestamp carries kTaskEnqueue /
-  // kResultArrival payload events too — the batch drain must group those
-  // identically under both tree backings (dense is ineligible here).
-  for (const std::uint64_t seed : {2ULL, 11ULL}) {
-    SimConfig cfg = hot_config(4000, seed);
-    cfg.dispatch_delay_ms = std::make_shared<Deterministic>(0.05);
-    cfg.result_delay_ms = std::make_shared<Deterministic>(0.05);
-    set_load(cfg, 0.6);
-    std::vector<std::uint64_t> prints;
-    for (const char* backend : {"heap", "wheel"}) {
-      ::setenv("TAILGUARD_EVENT_QUEUE", backend, 1);
-      prints.push_back(fingerprint(run_simulation(cfg)));
+// Batched same-timestamp draining must be repeatable: for randomized seeds
+// and loads, rerunning a config reproduces its result bit for bit, on the
+// dense layout (no network model) and on the heap (with one).
+TEST(BatchedCompletionParity, RepeatedRunsBitIdentical) {
+  for (const std::uint64_t seed : {1ULL, 7ULL, 13ULL}) {
+    for (const double load : {0.3, 0.7, 0.95}) {
+      for (const bool network : {false, true}) {
+        SimConfig cfg = hot_config(8000, seed);
+        if (network) {
+          cfg.dispatch_delay_ms = std::make_shared<Deterministic>(0.05);
+          cfg.result_delay_ms = std::make_shared<Deterministic>(0.05);
+        }
+        set_load(cfg, load);
+        EXPECT_EQ(fingerprint(run_simulation(cfg)),
+                  fingerprint(run_simulation(cfg)))
+            << "seed " << seed << " load " << load << " network " << network;
+      }
     }
-    ::unsetenv("TAILGUARD_EVENT_QUEUE");
-    EXPECT_EQ(prints[1], prints[0]) << "seed " << seed;
   }
 }
 

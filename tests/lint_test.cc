@@ -300,6 +300,32 @@ TEST(LintTest, GoodMapIsClean) {
   EXPECT_TRUE(lint_fixture("good_map.cc", "src/sim/good_map.cc").empty());
 }
 
+TEST(LintTest, BadEnvFiresAnywhereUnderSrc) {
+  for (const std::string path :
+       {"src/sim/bad_env.cc", "src/core/bad_env.cc", "src/net/bad_env.cc",
+        "src/common/bad_env.cc"}) {
+    const auto diags = lint_fixture("bad_env.cc", path);
+    EXPECT_EQ(rules_of(diags), std::set<std::string>{"env-read"}) << path;
+    // std::getenv, ::getenv, getenv, secure_getenv.
+    EXPECT_EQ(count_rule(diags, "env-read"), 4) << path;
+  }
+}
+
+TEST(LintTest, EnvReadsLegalInEntryPoints) {
+  // Tools, benches and tests are where the environment is meant to be read.
+  for (const std::string path :
+       {"tools/bad_env.cc", "bench/bad_env.cc", "tests/bad_env.cc",
+        "perfbench/src/bad_env.cc"}) {
+    EXPECT_EQ(count_rule(lint_fixture("bad_env.cc", path), "env-read"), 0)
+        << path;
+  }
+}
+
+TEST(LintTest, GoodEnvIsClean) {
+  // Options, comment/string mentions, lookalike identifiers, a suppression.
+  EXPECT_TRUE(lint_fixture("good_env.cc", "src/core/good_env.cc").empty());
+}
+
 TEST(LintTest, BadAtomicFiresOnEveryImplicitOrderAccess) {
   const auto diags = lint_fixture("bad_atomic.cc", "src/core/bad_atomic.cc");
   EXPECT_EQ(rules_of(diags), std::set<std::string>{"atomic-order"});
@@ -375,8 +401,8 @@ TEST(LintTest, RuleSummaryMentionsEveryRule) {
   for (const std::string rule :
        {"determinism-random", "determinism-clock", "time-units",
         "lock-discipline", "header-hygiene", "wire-safety",
-        "control-plane-boundary", "hot-path-map", "atomic-order",
-        "guarded-member"}) {
+        "control-plane-boundary", "hot-path-map", "env-read",
+        "atomic-order", "guarded-member"}) {
     EXPECT_NE(summary.find(rule), std::string::npos) << rule;
   }
 }

@@ -4,8 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -179,105 +177,12 @@ TEST(EdfTaskQueue, ReportsConfiguredPolicy) {
   EXPECT_THROW(EdfTaskQueue(Policy::kFifo), CheckFailure);
 }
 
-// -------------------------------------------------------------- EDF wheel
-
-// The timer-wheel EDF queue must be indistinguishable from the binary-heap
-// one: identical (task, deadline, seq) pop sequences, bit for bit. This is
-// what lets make_task_queue switch the default implementation without
-// perturbing a single BENCH row.
-TEST(TimerWheelEdfQueue, PopSequenceBitIdenticalToBinaryHeap) {
-  // Deliberately coarse tick so many distinct deadlines share one slot, and
-  // deadline ranges that span level 0 through the overflow heap.
-  for (const double tick_ms : {0.25, 16.0}) {
-    EdfTaskQueue heap(Policy::kTfEdf);
-    TimerWheelEdfQueue wheel(Policy::kTfEdf, tick_ms);
-    Rng rng(97);
-    TaskId next = 0;
-    std::size_t depth = 0;
-    for (int round = 0; round < 400; ++round) {
-      const int pushes = static_cast<int>(rng.uniform_index(8));
-      for (int i = 0; i < pushes; ++i) {
-        double deadline = 0.0;
-        switch (rng.uniform_index(4)) {
-          case 0:  // clustered ties: exercises the per-slot heaps
-            deadline = static_cast<double>(rng.uniform_index(4));
-            break;
-          case 1:  // uniform near-term: level 0/1 fast path
-            deadline = rng.uniform(0.0, 500.0);
-            break;
-          case 2:  // far future: cascades and the overflow heap
-            deadline = rng.uniform(0.0, 1e9);
-            break;
-          default:  // monotonicity violation: earlier than popped work
-            deadline = rng.uniform(-100.0, 10.0);
-            break;
-        }
-        const auto t = make_task(next++, 0, 0.0, deadline);
-        heap.push(t);
-        wheel.push(t);
-        ++depth;
-      }
-      const auto pops = rng.uniform_index(depth + 1);
-      for (std::uint64_t i = 0; i < pops; ++i) {
-        ASSERT_EQ(heap.peek().task, wheel.peek().task);
-        const QueuedTask a = heap.pop();
-        const QueuedTask b = wheel.pop();
-        ASSERT_EQ(a.task, b.task);
-        ASSERT_EQ(a.seq, b.seq);
-        ASSERT_EQ(a.deadline, b.deadline);
-        --depth;
-      }
-      ASSERT_EQ(heap.size(), wheel.size());
-    }
-    while (!heap.empty()) {
-      const QueuedTask a = heap.pop();
-      const QueuedTask b = wheel.pop();
-      ASSERT_EQ(a.task, b.task);
-      ASSERT_EQ(a.seq, b.seq);
-    }
-    EXPECT_TRUE(wheel.empty());
-  }
-}
-
-TEST(TimerWheelEdfQueue, DrainsSparseDeadlinesInSortedOrder) {
-  // Deadlines spread over nine decades touch every wheel level plus the
-  // overflow heap; a full drain must still be globally sorted.
-  TimerWheelEdfQueue q(Policy::kTEdf);
-  Rng rng(7);
-  for (TaskId i = 0; i < 300; ++i) {
-    const double scale = std::pow(10.0, static_cast<double>(
-                                            rng.uniform_index(9)));
-    q.push(make_task(i, 0, 0.0, rng.uniform(0.0, scale)));
-  }
-  double prev = -1.0;
-  while (!q.empty()) {
-    const QueuedTask t = q.pop();
-    EXPECT_GE(t.deadline, prev);
-    prev = t.deadline;
-  }
-}
-
-TEST(TimerWheelEdfQueue, PopEmptyThrowsAndPolicyChecked) {
-  TimerWheelEdfQueue q(Policy::kTfEdf);
-  EXPECT_THROW(q.pop(), CheckFailure);
-  EXPECT_THROW(q.peek(), CheckFailure);
-  EXPECT_EQ(q.policy(), Policy::kTfEdf);
-  EXPECT_THROW(TimerWheelEdfQueue(Policy::kFifo), CheckFailure);
-}
-
 // ---------------------------------------------------------------- factory
 
-TEST(MakeTaskQueue, EdfImplSelectsBackingStructure) {
-  const auto heap =
-      make_task_queue(Policy::kTfEdf, 1, EdfQueueImpl::kBinaryHeap);
-  const auto wheel =
-      make_task_queue(Policy::kTfEdf, 1, EdfQueueImpl::kTimerWheel);
-  EXPECT_NE(dynamic_cast<EdfTaskQueue*>(heap.get()), nullptr);
-  EXPECT_NE(dynamic_cast<TimerWheelEdfQueue*>(wheel.get()), nullptr);
-  // kDefault resolves to the wheel unless TAILGUARD_EDF_IMPL overrides it.
-  if (std::getenv("TAILGUARD_EDF_IMPL") == nullptr) {
-    EXPECT_EQ(resolve_edf_queue_impl(EdfQueueImpl::kDefault),
-              EdfQueueImpl::kTimerWheel);
+TEST(MakeTaskQueue, EdfPoliciesBuildTheHeap) {
+  for (Policy p : {Policy::kTEdf, Policy::kTfEdf}) {
+    const auto q = make_task_queue(p);
+    EXPECT_NE(dynamic_cast<EdfTaskQueue*>(q.get()), nullptr);
   }
 }
 

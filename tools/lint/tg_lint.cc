@@ -572,6 +572,29 @@ void check_hot_path_map(const FileCtx& ctx) {
 }
 
 // ---------------------------------------------------------------------------
+// env-read — library code does not read the process environment
+// ---------------------------------------------------------------------------
+
+void check_env_read(const FileCtx& ctx) {
+  if (!ctx.in_dir("src/")) return;
+  static constexpr std::array<std::string_view, 2> kReads = {"getenv",
+                                                             "secure_getenv"};
+  for (std::size_t i = 0; i < ctx.code_lines.size(); ++i) {
+    for (const auto fn : kReads) {
+      if (find_word(ctx.code_lines[i], fn) != std::string_view::npos) {
+        ctx.report(static_cast<int>(i) + 1, "env-read",
+                   "'" + std::string(fn) +
+                       "' in library code; behaviour set by the process "
+                       "environment is invisible to callers — take the "
+                       "setting as an option and read the environment in "
+                       "the entry point (tools/, bench/, perfbench/)");
+        break;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // atomic-order — every atomic access must pass an explicit std::memory_order
 // ---------------------------------------------------------------------------
 
@@ -792,6 +815,7 @@ std::vector<Diagnostic> lint_source(const std::string& rel_path,
   check_wire_safety(ctx);
   check_control_plane_boundary(ctx);
   check_hot_path_map(ctx);
+  check_env_read(ctx);
   check_atomic_order(ctx);
   check_guarded_member(ctx);
 
@@ -879,6 +903,8 @@ std::string rule_summary() {
       "hot-path-map        no std::unordered_map / std::map in src/sim or "
       "src/core; the hot path uses SlabMap / SlabHashCache "
       "(common/slab_map.h) — node-based maps allocate per entry\n"
+      "env-read            no getenv / secure_getenv under src/; library "
+      "settings are options, the entry points read the environment\n"
       "atomic-order        atomic .load()/.store()/.exchange()/.fetch_*()/"
       "compare_exchange/.test_and_set() in src/ and tools/ must pass an "
       "explicit std::memory_order (the seq_cst default hides intent)\n"

@@ -34,6 +34,13 @@
 //                       Dense-id state uses SlabMap, memo caches use
 //                       SlabHashCache (common/slab_map.h); genuinely cold
 //                       uses carry an explicit allow(hot-path-map).
+//   env-read            No getenv / secure_getenv under src/. A library
+//                       whose behaviour silently follows the process
+//                       environment cannot be configured or tested through
+//                       its API; settings are options, and only the entry
+//                       points (tools/, bench/, perfbench/) read the
+//                       environment. The reads that remain carry an
+//                       allow(env-read) naming the setting to move out.
 //   atomic-order        Every atomic access in src/ and tools/ (.load(),
 //                       .store(), .exchange(), .fetch_*(),
 //                       .compare_exchange_*(), .test_and_set()) passes an
