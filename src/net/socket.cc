@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/timerfd.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -127,6 +128,33 @@ void WakePipe::drain() {
   while (::read(read_end_.get(), buf, sizeof(buf)) ==
          static_cast<ssize_t>(sizeof(buf))) {
   }
+}
+
+DeadlineTimer::DeadlineTimer()
+    : fd_(::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC)) {
+  TG_CHECK_MSG(fd_.valid(), errno_string("timerfd_create"));
+}
+
+void DeadlineTimer::arm_at(Clock::time_point when) {
+  if (when == armed_) return;
+  armed_ = when;
+  itimerspec spec{};  // all zero: disarm
+  if (when != Clock::time_point::max()) {
+    const auto since_boot_ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            when.time_since_epoch())
+            .count();
+    spec.it_value.tv_sec = since_boot_ns / 1'000'000'000;
+    spec.it_value.tv_nsec = since_boot_ns % 1'000'000'000;
+  }
+  ::timerfd_settime(fd_.get(), TFD_TIMER_ABSTIME, &spec, nullptr);
+}
+
+void DeadlineTimer::drain() {
+  std::uint64_t expirations = 0;
+  [[maybe_unused]] ssize_t n =
+      ::read(fd_.get(), &expirations, sizeof(expirations));
+  armed_ = Clock::time_point::max();
 }
 
 }  // namespace tailguard::net

@@ -1,10 +1,12 @@
 // Thin POSIX TCP helpers for the networked runtime: RAII fds, non-blocking
-// listen/connect, and a self-pipe for waking a poll() loop from other
-// threads. Everything reports errors via std::string out-params rather than
-// exceptions — a refused connection is a normal event for the dispatcher's
-// reconnect loop, not a programming error.
+// listen/connect, a self-pipe for waking a poll() loop from other threads,
+// and a timerfd for waking it at a precise time. Everything reports errors
+// via std::string out-params rather than exceptions — a refused connection
+// is a normal event for the dispatcher's reconnect loop, not a programming
+// error.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -75,6 +77,30 @@ class WakePipe {
  private:
   ScopedFd read_end_;
   ScopedFd write_end_;
+};
+
+/// One-shot timerfd on CLOCK_MONOTONIC, the clock behind
+/// std::chrono::steady_clock on Linux: after the time given to arm_at()
+/// the fd polls readable until drain(). Nanosecond resolution, so a poll
+/// loop can wait for sub-millisecond deadlines without rounding them up to
+/// a whole-millisecond poll timeout. Single-threaded, like its loop.
+class DeadlineTimer {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  DeadlineTimer();
+
+  int fd() const { return fd_.get(); }
+  /// Sets the expiry to `when` (absolute), replacing the previous one;
+  /// Clock::time_point::max() disarms. Costs no syscall when `when` is what
+  /// is already set.
+  void arm_at(Clock::time_point when);
+  /// Consumes an expiry; the timer stays disarmed until the next arm_at().
+  void drain();
+
+ private:
+  ScopedFd fd_;
+  Clock::time_point armed_ = Clock::time_point::max();
 };
 
 }  // namespace tailguard::net

@@ -19,47 +19,30 @@ TaskServer::TaskServer(TaskServerOptions options)
   TG_CHECK_MSG(listen_fd_.valid(), "task server cannot listen: " << error);
   port_ = local_port(listen_fd_.get());
   poller_ = Poller::create();
-  next_gossip_ms_ = options_.gossip_interval_ms;
-
-  const auto clock = [this] { return now_ms(); };
-  const auto on_complete = [this](ServerId executor, const RuntimeTask& task,
-                                  TimeMs dequeue_ms, TimeMs complete_ms) {
-    on_task_complete(executor, task, dequeue_ms, complete_ms);
-  };
-  executors_.reserve(options_.num_executors);
-  for (std::size_t i = 0; i < options_.num_executors; ++i)
-    executors_.push_back(std::make_unique<Worker>(
-        static_cast<ServerId>(i), options_.policy, options_.num_classes, clock,
-        on_complete));
+  {
+    MutexLock lock(mu_);
+    next_gossip_ms_ = options_.gossip_interval_ms;
+    executors_.resize(options_.num_executors);
+    for (Executor& e : executors_)
+      e.queue = make_task_queue(options_.policy, options_.num_classes);
+  }
   net_thread_ = std::thread([this] { net_loop(); });
 }
 
-TaskServer::~TaskServer() { stop(); }
+TaskServer::~TaskServer() {
+  stop();
+  // The loop exits once the executors have served everything accepted.
+  net_thread_.join();
+}
 
 void TaskServer::stop() {
-  {
-    MutexLock lock(mu_);
-    if (stopped_) return;
-    stopped_ = true;
-  }
-  // Relaxed: plain shutdown latch. The net loop re-polls it every round,
-  // the wake below forces a prompt round, and the join right after is the
-  // real synchronization point — no data is published through this flag.
-  running_.store(false, std::memory_order_relaxed);
+  MutexLock lock(mu_);
+  stopping_ = true;
   wake_.wake();
-  if (net_thread_.joinable()) net_thread_.join();
-  // Close every connection before draining: executors send their own
-  // TaskDones, so a connection left open would keep reporting after stop.
-  // Dispatchers see the disconnect now and fail what was in flight here.
-  {
-    MutexLock lock(mu_);
-    conns_.clear();
-    fd_conn_.clear();
-    listen_fd_.reset();
-  }
-  // Drain the executors: queued tasks still run; their completions land in
-  // pending_samples_ (every connection is gone by now).
-  for (auto& e : executors_) e->shutdown();
+  // Connections are closed on the loop, which owns the poller they are
+  // registered with; dispatchers see the disconnect before stop() returns
+  // and fail what was in flight here.
+  while (!closed_) closed_cv_.wait(mu_);
 }
 
 TimeMs TaskServer::now_ms() const {
@@ -79,9 +62,20 @@ std::uint64_t TaskServer::tasks_missed_deadline() const {
 }
 
 std::size_t TaskServer::queue_depth() const {
+  MutexLock lock(mu_);
+  return queued_tasks();
+}
+
+std::size_t TaskServer::queued_tasks() const {
   std::size_t depth = 0;
-  for (const auto& e : executors_) depth += e->queue_depth();
+  for (const Executor& e : executors_) depth += e.queue->size();
   return depth;
+}
+
+bool TaskServer::executors_idle() const {
+  for (const Executor& e : executors_)
+    if (e.busy || !e.queue->empty()) return false;
+  return true;
 }
 
 std::uint64_t TaskServer::gossip_deltas_sent() const {
@@ -157,25 +151,29 @@ void TaskServer::handle_frame(std::uint64_t conn_id, Connection& conn,
     case MsgType::kSubmitTask: {
       SubmitTaskMsg msg;
       if (!decode(frame, &msg)) return;
-      const TimeMs now = now_ms();
-      RuntimeTask task;
-      task.id = msg.task;
+      QueuedTask task;
+      task.task = next_ticket_++;
       task.query = msg.query;
       task.cls = msg.cls >= options_.num_classes
                      ? static_cast<ClassId>(options_.num_classes - 1)
                      : msg.cls;
-      task.simulated_service_ms = msg.simulated_service_ms;
-      task_origin_[msg.task] = {conn_id, now};
-      // Route to the least-backlogged executor.
-      Worker* target = executors_.front().get();
-      for (const auto& e : executors_)
-        if (e->queue_depth() < target->queue_depth()) target = e.get();
-      target->submit(std::move(task), now, now + msg.relative_deadline_ms);
+      task.enqueue_time = now_ms();
+      task.deadline = task.enqueue_time + msg.relative_deadline_ms;
+      task.service_time = msg.simulated_service_ms;
+      task_origin_[task.task] = {conn_id, msg.task};
+      // Route to the least-backlogged executor, counting a task in service.
+      const auto backlog = [](const Executor& e) {
+        return e.queue->size() + (e.busy ? 1 : 0);
+      };
+      Executor* target = &executors_.front();
+      for (Executor& e : executors_)
+        if (backlog(e) < backlog(*target)) target = &e;
+      target->queue->push(task);
       break;
     }
     case MsgType::kStatsRequest: {
       StatsResponseMsg stats;
-      stats.queue_depth = static_cast<std::uint32_t>(queue_depth());
+      stats.queue_depth = static_cast<std::uint32_t>(queued_tasks());
       stats.tasks_executed = tasks_executed_;
       stats.tasks_missed_deadline = tasks_missed_;
       encode_into(stats, conn.out.chunk());
@@ -187,45 +185,66 @@ void TaskServer::handle_frame(std::uint64_t conn_id, Connection& conn,
   }
 }
 
-void TaskServer::on_task_complete(ServerId /*executor*/,
-                                  const RuntimeTask& task, TimeMs dequeue_ms,
-                                  TimeMs complete_ms) {
-  const bool missed = dequeue_ms > task.order_deadline;
-  TaskDoneMsg msg;
-  msg.task = task.id;
-  msg.query = task.query;
-  msg.service_ms = complete_ms - dequeue_ms;
-  msg.missed_deadline = missed;
+void TaskServer::run_executors() {
+  auto next_end = DeadlineTimer::Clock::time_point::max();
+  const TimeMs now = now_ms();
+  for (Executor& e : executors_) {
+    // Compared as the same difference the TaskDone reports, so a reported
+    // service_ms is never below the simulated time.
+    if (e.busy && now - e.dequeue_ms >= e.current.service_time) {
+      complete_task(e.current, e.dequeue_ms, now);
+      e.busy = false;
+    }
+    while (!e.busy && !e.queue->empty()) {
+      e.current = e.queue->pop();
+      e.dequeue_ms = now_ms();
+      e.busy = e.current.service_time > 0.0;
+      if (!e.busy) complete_task(e.current, e.dequeue_ms, now_ms());
+    }
+    if (e.busy) {
+      // Rounded up to the timer's nanosecond, so the loop it wakes sees the
+      // service as over.
+      const auto end = epoch_ + std::chrono::ceil<std::chrono::nanoseconds>(
+                                    std::chrono::duration<double, std::milli>(
+                                        e.dequeue_ms + e.current.service_time));
+      next_end = std::min(next_end, end);
+    }
+  }
+  service_timer_.arm_at(next_end);
+}
 
-  MutexLock lock(mu_);
-  ++tasks_executed_;
-  if (missed) ++tasks_missed_;
-  const auto origin_it = task_origin_.find(task.id);
+void TaskServer::complete_task(const QueuedTask& task, TimeMs dequeue_ms,
+                               TimeMs complete_ms) {
+  const bool missed = dequeue_ms > task.deadline;
   TaskOrigin origin;
+  const auto origin_it = task_origin_.find(task.task);
   if (origin_it != task_origin_.end()) {
     origin = origin_it->second;
     task_origin_.erase(origin_it);
   }
-  msg.queue_ms = dequeue_ms - origin.enqueue_ms;
+  TaskDoneMsg msg;
+  msg.task = origin.task;
+  msg.query = task.query;
+  msg.queue_ms = dequeue_ms - task.enqueue_time;
+  msg.service_ms = complete_ms - dequeue_ms;
+  msg.missed_deadline = missed;
+
+  ++tasks_executed_;
+  if (missed) ++tasks_missed_;
   bool sent = false;
   const auto conn_it = conns_.find(origin.conn);
   if (conn_it != conns_.end() && conn_it->second.hello_done &&
       !conn_it->second.dead && conn_it->second.fd.valid()) {
-    // The executor sends its own TaskDone. The net loop is woken only when
-    // the send cannot finish: a full socket needs POLLOUT armed, a broken
-    // one is torn down by the sweep, because the poller is single-threaded.
-    // A queue that already held output belongs to the loop (a blocked send
-    // woke it, or it queued the frames itself), which sends this one too.
+    // Sent at once when nothing is queued ahead of it; otherwise the queue
+    // is waiting for POLLOUT and the sweep sends this frame with the rest.
     Connection& conn = conn_it->second;
     const bool idle = conn.out.empty();
     encode_into(msg, conn.out.chunk());
     sent = true;
     if (idle) {
-      const SendQueue::FlushResult result = conn.out.flush(conn.fd.get());
-      if (result != SendQueue::FlushResult::kDrained) wake_.wake();
       // On an error this TaskDone never left: it falls through to the
-      // ModelSync backfill below.
-      sent = result != SendQueue::FlushResult::kError;
+      // ModelSync backfill below, and the sweep closes the connection.
+      sent = conn.out.flush(conn.fd.get()) != SendQueue::FlushResult::kError;
       conn.dead = !sent;
     }
   }
@@ -249,9 +268,20 @@ void TaskServer::on_task_complete(ServerId /*executor*/,
   }
 }
 
+void TaskServer::close_connections() {
+  for (auto& [id, conn] : conns_)
+    if (conn.fd.valid()) poller_->forget(conn.fd.get());
+  conns_.clear();
+  fd_conn_.clear();
+  poller_->forget(listen_fd_.get());
+  listen_fd_.reset();
+  closed_ = true;
+  closed_cv_.notify_all();
+}
+
 void TaskServer::maybe_gossip(TimeMs now) {
   if (options_.gossip_interval_ms <= 0 || now < next_gossip_ms_) return;
-  const std::uint32_t depth = static_cast<std::uint32_t>(queue_depth());
+  const std::uint32_t depth = static_cast<std::uint32_t>(queued_tasks());
   for (auto& [id, conn] : conns_) {
     if (!conn.hello_done || conn.dead || !conn.fd.valid()) continue;
     GossipDeltaMsg msg;
@@ -280,11 +310,11 @@ void TaskServer::maybe_gossip(TimeMs now) {
 }
 
 void TaskServer::flush_and_sweep_connections() {
-  // Runs once per loop round, after the readiness events: flush whatever is
-  // queued (frames this thread encoded, such as a Hello's ack or a gossip
-  // delta, and TaskDones an executor could not finish sending because the
-  // socket was full), then close dead connections (including those an
-  // executor's send found broken) and refresh poller interest for the rest.
+  // Runs once per loop round, after the readiness events and the executors:
+  // flush whatever is queued (a Hello's ack, a gossip delta, TaskDones that
+  // waited behind a full socket), then close dead connections (including
+  // those a TaskDone's send found broken) and refresh poller interest for
+  // the rest.
   for (auto it = conns_.begin(); it != conns_.end();) {
     Connection& conn = it->second;
     if (!conn.dead && conn.fd.valid() && !conn.out.empty() &&
@@ -307,25 +337,35 @@ void TaskServer::flush_and_sweep_connections() {
 void TaskServer::net_loop() {
   poller_->watch(listen_fd_.get(), /*want_read=*/true, /*want_write=*/false);
   poller_->watch(wake_.read_fd(), /*want_read=*/true, /*want_write=*/false);
+  poller_->watch(service_timer_.fd(), /*want_read=*/true,
+                 /*want_write=*/false);
   std::vector<Poller::Event> events;
-  while (running_.load(std::memory_order_relaxed)) {
+  for (;;) {
     int timeout_ms = 200;
-    if (options_.gossip_interval_ms > 0) {
-      // Wake in time for the next gossip boundary instead of sleeping
-      // through it (while keeping the 200 ms liveness ceiling).
+    {
       MutexLock lock(mu_);
-      const double until = next_gossip_ms_ - now_ms();
-      timeout_ms = std::clamp(static_cast<int>(until) + 1, 1, 200);
+      // After stop() the loop only serves what was accepted, then exits.
+      if (closed_ && executors_idle()) return;
+      if (options_.gossip_interval_ms > 0 && !closed_) {
+        // Wake in time for the next gossip boundary instead of sleeping
+        // through it (while keeping the 200 ms liveness ceiling).
+        const double until = next_gossip_ms_ - now_ms();
+        timeout_ms = std::clamp(static_cast<int>(until) + 1, 1, 200);
+      }
     }
     events.clear();
     poller_->wait(events, timeout_ms);
-    if (!running_.load(std::memory_order_relaxed)) break;
 
     MutexLock lock(mu_);
+    if (stopping_ && !closed_) close_connections();
     bool accept_ready = false;
     for (const Poller::Event& ev : events) {
       if (ev.fd == wake_.read_fd()) {
         wake_.drain();
+        continue;
+      }
+      if (ev.fd == service_timer_.fd()) {
+        service_timer_.drain();
         continue;
       }
       if (ev.fd == listen_fd_.get()) {
@@ -342,8 +382,12 @@ void TaskServer::net_loop() {
           !read_connection(id_it->second, conn))
         conn.dead = true;
     }
+    // Every read is in before any executor pops: a pop orders everything
+    // received up to it.
+    run_executors();
     // Accept after the connection events and before the sweep: descriptors
-    // are only ever closed inside the sweep, so an accepted fd can never
+    // are only ever closed inside the sweep (or by close_connections(),
+    // which also closes the listen socket), so an accepted fd can never
     // alias a stale event in this batch, and the sweep registers the new
     // connections' read interest with the poller.
     if (accept_ready) accept_new_connections();

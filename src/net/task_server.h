@@ -1,12 +1,19 @@
 // A networked TailGuard task server (one box of Fig. 2's task-server tier).
 //
-// Wraps the same policy queues and worker execution loop as the in-process
-// runtime (runtime/Worker — the code path is shared, not duplicated) behind
-// an async TCP loop (epoll via net/poller.h, with a poll(2) fallback)
-// speaking the net/wire.h protocol:
+// One thread runs the whole daemon: an async TCP loop (epoll via
+// net/poller.h, with a poll(2) fallback) speaking the net/wire.h protocol,
+// and the executors behind it. An executor is one policy queue (the
+// make_task_queue disciplines the simulator and the in-process runtime use,
+// so the queuing semantics are identical) plus the task it is serving:
 //
-//   dispatcher --- SubmitTask ---> [policy queue] -> executor thread(s)
+//   dispatcher --- SubmitTask ---> [policy queue] -> executor (busy until t)
 //   dispatcher <--- TaskDone ----- (queue_ms, post-queuing time, miss flag)
+//
+// Remote tasks carry no code, only a simulated service time, so serving one
+// never blocks the thread: it is a deadline on a timerfd that the loop polls
+// next to its sockets. Each round reads every ready socket first and only
+// then lets the free executors pop, so a pop orders everything received
+// before it; the loop that observes a service's end sends the TaskDone.
 //
 // Queuing deadlines arrive as durations relative to receipt and are stamped
 // against the server's local monotonic clock, so dispatcher and server never
@@ -16,7 +23,6 @@
 // catches up on rejoin (paper §III.B.2's online updating, resumed).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -27,11 +33,11 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
+#include "core/policy.h"
 #include "net/poller.h"
 #include "net/send_queue.h"
 #include "net/socket.h"
 #include "net/wire.h"
-#include "runtime/worker.h"
 
 namespace tailguard::net {
 
@@ -40,9 +46,10 @@ struct TaskServerOptions {
   std::uint16_t port = 0;
   Policy policy = Policy::kTfEdf;
   std::size_t num_classes = 2;
-  /// Execution threads. The paper's task servers are single-threaded (one
-  /// policy queue, one executor); >1 shares the accept loop across several
-  /// independently-queued executors.
+  /// Executors: independently queued servers that run concurrently on the
+  /// daemon's one thread. The paper's task servers have one policy queue and
+  /// one executor; >1 shares the accept loop across several, and each
+  /// SubmitTask joins the least-backlogged one.
   std::size_t num_executors = 1;
   std::string name = "tailguard-task-server";
   /// Cap on post-queuing samples buffered for ModelSync while disconnected.
@@ -60,17 +67,20 @@ struct TaskServerOptions {
 
 class TaskServer {
  public:
-  /// Binds, starts the executor threads and the network thread. Throws
-  /// CheckFailure when the port cannot be bound.
+  /// Binds and starts the daemon's one thread. Throws CheckFailure when the
+  /// port cannot be bound.
   explicit TaskServer(TaskServerOptions options);
+  /// Stops, then returns once every accepted task has run its full service
+  /// and been counted.
   ~TaskServer();
 
   TaskServer(const TaskServer&) = delete;
   TaskServer& operator=(const TaskServer&) = delete;
 
-  /// Closes the listen socket and all connections, drains the executors.
-  /// Idempotent.
-  void stop();
+  /// Closes the listen socket and all connections, without waiting for
+  /// queued work: the executors go on serving it, and its completions become
+  /// ModelSync samples. Idempotent.
+  void stop() TG_EXCLUDES(mu_);
 
   /// Bound port (resolves an ephemeral request).
   std::uint16_t port() const { return port_; }
@@ -78,11 +88,12 @@ class TaskServer {
   /// Local monotonic clock (ms since construction).
   TimeMs now_ms() const;
 
-  std::uint64_t tasks_executed() const;
-  std::uint64_t tasks_missed_deadline() const;
-  std::size_t queue_depth() const;
+  std::uint64_t tasks_executed() const TG_EXCLUDES(mu_);
+  std::uint64_t tasks_missed_deadline() const TG_EXCLUDES(mu_);
+  /// Tasks received but not yet in service.
+  std::size_t queue_depth() const TG_EXCLUDES(mu_);
   /// GossipDelta frames queued so far (0 when gossip is disabled).
-  std::uint64_t gossip_deltas_sent() const;
+  std::uint64_t gossip_deltas_sent() const TG_EXCLUDES(mu_);
 
  private:
   struct Connection {
@@ -105,10 +116,23 @@ class TaskServer {
     std::uint64_t gossip_dequeues_missed = 0;
   };
 
-  /// Where a task came from, for routing its TaskDone.
+  /// One executor: a policy queue and the task it is serving. Queued
+  /// entries carry a daemon-wide ticket as their `task` (see TaskOrigin) and
+  /// the simulated service time as their `service_time`.
+  struct Executor {
+    std::unique_ptr<TaskQueue> queue;
+    bool busy = false;
+    /// The task in service, valid while `busy`.
+    QueuedTask current;
+    TimeMs dequeue_ms = 0.0;
+  };
+
+  /// Where a queued task came from, for routing its TaskDone. Keyed by
+  /// ticket, not by wire id: every dispatcher numbers its tasks from 0, so
+  /// two dispatchers sharing a daemon send the same ids.
   struct TaskOrigin {
     std::uint64_t conn = 0;
-    TimeMs enqueue_ms = 0.0;
+    TaskId task = 0;
   };
 
   void net_loop() TG_EXCLUDES(mu_);
@@ -124,9 +148,20 @@ class TaskServer {
   /// Emits one GossipDelta per live connection when the gossip boundary has
   /// passed, then re-arms. No-op while gossip is disabled.
   void maybe_gossip(TimeMs now) TG_REQUIRES(mu_);
-  void on_task_complete(ServerId executor, const RuntimeTask& task,
-                        TimeMs dequeue_ms, TimeMs complete_ms)
-      TG_EXCLUDES(mu_);
+  /// Ends every service whose simulated time has passed, lets each free
+  /// executor pop in policy order (a zero-time task completes on the spot),
+  /// and arms the service timer for the earliest end still pending.
+  void run_executors() TG_REQUIRES(mu_);
+  /// Counts a finished task and reports it: a TaskDone to its connection,
+  /// else a ModelSync sample, plus gossip to the other connections.
+  void complete_task(const QueuedTask& task, TimeMs dequeue_ms,
+                     TimeMs complete_ms) TG_REQUIRES(mu_);
+  /// The stop() half that runs on the loop: closes the listen socket and
+  /// every connection, then wakes stop().
+  void close_connections() TG_REQUIRES(mu_);
+  std::size_t queued_tasks() const TG_REQUIRES(mu_);
+  /// True when no executor holds work, queued or in service.
+  bool executors_idle() const TG_REQUIRES(mu_);
 
   // tg-lint: allow(guarded-member): immutable after construction.
   TaskServerOptions options_;
@@ -134,22 +169,31 @@ class TaskServer {
   std::chrono::steady_clock::time_point epoch_;
   // tg-lint: allow(guarded-member): written once by the constructor.
   std::uint16_t port_ = 0;
-  // Net-thread private after the bind; stop() only resets it after joining
-  // that thread. tg-lint: allow(guarded-member)
+  // tg-lint: allow(guarded-member): net-thread private after the bind.
   ScopedFd listen_fd_;
   // WakePipe is self-synchronizing: write end poked from any thread, read
   // end drained by the net thread. tg-lint: allow(guarded-member)
   WakePipe wake_;
   // tg-lint: allow(guarded-member): net-thread private after construction.
   std::unique_ptr<Poller> poller_;
-  std::atomic<bool> running_{true};
+  /// Fires at the earliest end of a service in progress.
+  // tg-lint: allow(guarded-member): net-thread private after construction.
+  DeadlineTimer service_timer_;
 
   mutable Mutex mu_;
+  /// stop() raises `stopping_` and waits on `closed_cv_` until the loop has
+  /// set `closed_`.
+  CondVar closed_cv_;
+  bool stopping_ TG_GUARDED_BY(mu_) = false;
+  bool closed_ TG_GUARDED_BY(mu_) = false;
+  std::vector<Executor> executors_ TG_GUARDED_BY(mu_);
   std::unordered_map<std::uint64_t, Connection> conns_ TG_GUARDED_BY(mu_);
   /// fd -> connection id.
   std::unordered_map<int, std::uint64_t> fd_conn_ TG_GUARDED_BY(mu_);
   std::uint64_t next_conn_id_ TG_GUARDED_BY(mu_) = 1;
-  std::unordered_map<TaskId, TaskOrigin> task_origin_ TG_GUARDED_BY(mu_);
+  std::unordered_map<std::uint64_t, TaskOrigin> task_origin_
+      TG_GUARDED_BY(mu_);
+  std::uint64_t next_ticket_ TG_GUARDED_BY(mu_) = 0;
   std::vector<double> pending_samples_ TG_GUARDED_BY(mu_);
   std::uint64_t tasks_executed_ TG_GUARDED_BY(mu_) = 0;
   std::uint64_t tasks_missed_ TG_GUARDED_BY(mu_) = 0;
@@ -159,14 +203,8 @@ class TaskServer {
   std::uint64_t next_gossip_seq_ TG_GUARDED_BY(mu_) = 1;
   TimeMs next_gossip_ms_ TG_GUARDED_BY(mu_) = 0.0;
   std::uint64_t gossip_deltas_sent_ TG_GUARDED_BY(mu_) = 0;
-  bool stopped_ TG_GUARDED_BY(mu_) = false;
 
   std::thread net_thread_;
-  // Executors last: their threads must drain and stop before the state above
-  // is torn down (reverse member destruction order guarantees it). The
-  // vector itself is immutable after construction; Worker is thread-safe.
-  // tg-lint: allow(guarded-member)
-  std::vector<std::unique_ptr<Worker>> executors_;
 };
 
 }  // namespace tailguard::net

@@ -6,6 +6,10 @@
 
 namespace tailguard {
 
+namespace {
+
+/// Runs the closure when set, otherwise sleeps for the simulated service
+/// duration.
 void execute_task_payload(const RuntimeTask& task) {
   if (task.work) {
     task.work();
@@ -14,6 +18,8 @@ void execute_task_payload(const RuntimeTask& task) {
         std::chrono::duration<double, std::milli>(task.simulated_service_ms));
   }
 }
+
+}  // namespace
 
 Worker::Worker(ServerId id, Policy policy, std::size_t num_classes,
                ClockFn clock, CompletionFn on_complete)
@@ -33,7 +39,6 @@ Worker::~Worker() {
 
 void Worker::submit(RuntimeTask task, TimeMs enqueue_ms,
                     TimeMs order_deadline) {
-  task.order_deadline = order_deadline;
   // Accept-then-check: the counter bump happens before the shutdown test so
   // the worker can never observe "all accepted work consumed" while this
   // submit is still deciding — a submit that passes the check is therefore

@@ -36,16 +36,7 @@ struct RuntimeTask {
   /// `simulated_service_ms` instead.
   std::function<void()> work;
   TimeMs simulated_service_ms = 0.0;
-  /// Queuing deadline used for ordering; filled in by Worker::submit so
-  /// completion handlers (e.g. the task-server daemon's miss accounting) see
-  /// the deadline the task was queued under.
-  TimeMs order_deadline = kNoTime;
 };
-
-/// Executes a task's payload: runs the closure when set, otherwise sleeps for
-/// the simulated service duration. Shared by every execution path that
-/// consumes RuntimeTasks.
-void execute_task_payload(const RuntimeTask& task);
 
 class Worker {
  public:

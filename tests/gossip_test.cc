@@ -318,6 +318,38 @@ TEST(GossipE2E, SecondDispatcherLearnsFromFirstExactlyOnce) {
             static_cast<std::uint64_t>(kQueries));
 }
 
+TEST(GossipE2E, DispatchersWithCollidingTaskIdsShareADaemon) {
+  // Every dispatcher numbers its tasks from 0, so two dispatchers with work
+  // in flight on one daemon send the same task ids. Each TaskDone must still
+  // reach the dispatcher that submitted the task.
+  net::TaskServerOptions server_options;
+  server_options.num_classes = 1;
+  net::TaskServer server(server_options);
+
+  net::RemoteDispatcher a(one_server_options(server.port()));
+  net::RemoteDispatcher b(one_server_options(server.port()));
+  ASSERT_TRUE(a.wait_for_servers(1, 5000.0));
+  ASSERT_TRUE(b.wait_for_servers(1, 5000.0));
+
+  constexpr int kPerDispatcher = 4;
+  std::vector<std::future<QueryResult>> futures;
+  for (int q = 0; q < kPerDispatcher; ++q) {
+    for (net::RemoteDispatcher* d : {&a, &b}) {
+      std::vector<net::RemoteTaskSpec> tasks(1);
+      tasks[0].simulated_service_ms = 20.0;
+      futures.push_back(d->submit(0, std::move(tasks)));
+    }
+  }
+  for (auto& f : futures) EXPECT_EQ(f.get().tasks_failed, 0u);
+  EXPECT_EQ(server.tasks_executed(), 2u * kPerDispatcher);
+  // Gossip is off, so each model holds exactly its own dispatcher's
+  // observations.
+  for (net::RemoteDispatcher* d : {&a, &b})
+    EXPECT_EQ(static_cast<const StreamingCdfModel&>(*d->server_model(0))
+                  .observations(),
+              static_cast<std::uint64_t>(kPerDispatcher));
+}
+
 TEST(GossipE2E, GossipOffDaemonBehavesLikePreGossipBuild) {
   // Mixed-version fleet, old daemon side: gossip_interval_ms = 0 means no
   // GossipHello, no deltas — peers only ever learn through ModelSync.

@@ -9,11 +9,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -978,9 +980,10 @@ TEST(RemoteDispatcher, KilledServerDegradesGracefullyAndRejoins) {
 
 // ------------------------------------------- inline-send fallback paths
 //
-// Producers (submit() on the dispatcher, executors on a daemon) send on
-// their own thread and hand over to the net loop only when a send cannot
-// finish. These tests force each hand-over, on both poller backends.
+// Producers send inline and hand over only when a send cannot finish:
+// submit() on the dispatcher's calling thread, which then wakes the net
+// loop, and a daemon's loop for the TaskDone of each task it sees end.
+// These tests force each hand-over, on both poller backends.
 
 class InlineSendFallback
     : public ::testing::TestWithParam<net::Poller::Backend> {
@@ -1109,12 +1112,13 @@ TEST_P(InlineSendFallback, SubmitWhileDaemonStopsResolvesEachQueryOnce) {
 }
 
 TEST_P(InlineSendFallback, DaemonBackfillsTaskDoneOfVanishedDispatcher) {
-  // The dispatcher resets its connection while the executor is completing
-  // a task, with more queued behind it. Each of those TaskDones can no
+  // The dispatcher resets its connection while the executor is serving a
+  // task, with more queued behind it. Each of those TaskDones can no
   // longer be sent and must become exactly one ModelSync sample. Which
-  // path drops it is a race: usually the net loop has already closed the
-  // connection, and the executor's own failed send happens only when the
-  // loop is late. DaemonBackfillsTaskDoneWhoseSendFails forces the latter.
+  // path drops it depends on timing: usually the loop has already read the
+  // reset and marked the connection dead, and the TaskDone's own send
+  // fails only when the task ends before the reset is read.
+  // DaemonBackfillsTaskDoneWhoseSendFails forces the latter.
   net::TaskServer server(net::TaskServerOptions{});
   constexpr std::uint64_t kTasks = 50;
   {
@@ -1229,6 +1233,176 @@ TEST_P(InlineSendFallback, DaemonBackfillsTaskDoneWhoseSendFails) {
 INSTANTIATE_TEST_SUITE_P(AllBackends, InlineSendFallback,
                          ::testing::Values(net::Poller::Backend::kEpoll,
                                            net::Poller::Backend::kPoll));
+
+// ------------------------------------------------- daemon order and threads
+
+class DaemonOverTheWire
+    : public ::testing::TestWithParam<net::Poller::Backend> {
+ protected:
+  void SetUp() override {
+    ::setenv("TAILGUARD_NET_BACKEND",
+             GetParam() == net::Poller::Backend::kPoll ? "poll" : "epoll", 1);
+  }
+  void TearDown() override { ::unsetenv("TAILGUARD_NET_BACKEND"); }
+};
+
+double ms_between(std::chrono::steady_clock::time_point from,
+                  std::chrono::steady_clock::time_point to) {
+  return std::chrono::duration<double, std::milli>(to - from).count();
+}
+
+TEST_P(DaemonOverTheWire, ServesEdfOrderAndStampsDeadlinesAtReceipt) {
+  // One executor is parked on a long task while a burst with shuffled
+  // relative deadlines (ties included) queues behind it. The daemon must
+  // stay responsive during the service, stamp each task when it arrives,
+  // and then serve the burst earliest-deadline first, FIFO on ties.
+  net::TaskServerOptions options;
+  options.policy = Policy::kTfEdf;
+  options.num_classes = 1;
+  net::TaskServer server(options);
+  TestClient client;
+  ASSERT_TRUE(client.connect_to(server.port()));
+  client.send_bytes(net::encode(net::HelloMsg{}));
+  ASSERT_TRUE(client.read_frame().has_value());  // ack
+
+  constexpr TimeMs kParkMs = 300.0;
+  constexpr TaskId kParkId = 1000;
+  net::SubmitTaskMsg park;
+  park.task = kParkId;
+  park.query = kParkId;
+  park.relative_deadline_ms = 0.0;  // ahead of the whole burst
+  park.simulated_service_ms = kParkMs;
+  const auto park_sent = std::chrono::steady_clock::now();
+  client.send_bytes(net::encode(park));
+  std::this_thread::sleep_for(20ms);  // let the parking task start
+
+  const std::vector<TimeMs> relative_ms = {50, 20, 80, 20, 10,
+                                           50, 30, 80, 20, 60};
+  std::vector<std::uint8_t> burst;
+  for (std::size_t i = 0; i < relative_ms.size(); ++i) {
+    net::SubmitTaskMsg submit;
+    submit.task = i;
+    submit.query = i;
+    submit.relative_deadline_ms = relative_ms[i];
+    submit.simulated_service_ms = 0.2;
+    net::encode_into(submit, burst);
+  }
+  net::encode_into(net::StatsRequestMsg{}, burst);
+  client.send_bytes(burst);
+
+  // The StatsRequest, read after the whole burst, is answered before any
+  // TaskDone: the daemon is not blocked by the parking task's service.
+  const auto stats_frame = client.read_frame();
+  const auto stats_received = std::chrono::steady_clock::now();
+  ASSERT_TRUE(stats_frame.has_value());
+  ASSERT_EQ(stats_frame->type, net::MsgType::kStatsResponse);
+  net::StatsResponseMsg stats;
+  ASSERT_TRUE(net::decode(*stats_frame, &stats));
+  EXPECT_EQ(stats.tasks_executed, 0u);
+  EXPECT_EQ(stats.queue_depth, relative_ms.size());
+  EXPECT_LT(ms_between(park_sent, stats_received), kParkMs);
+
+  std::vector<TaskId> expected(relative_ms.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) expected[i] = i;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](TaskId a, TaskId b) {
+                     return relative_ms[a] < relative_ms[b];
+                   });
+
+  const auto park_frame = client.read_frame(/*timeout_ms=*/5000);
+  ASSERT_TRUE(park_frame.has_value());
+  net::TaskDoneMsg park_done;
+  ASSERT_TRUE(net::decode(*park_frame, &park_done));
+  EXPECT_EQ(park_done.task, kParkId);
+  EXPECT_GE(park_done.service_ms, kParkMs);
+
+  // Every burst task was received before the StatsResponse left and
+  // dequeued after the parking task's end, so its queue time covers at
+  // least the service the parking task still had left.
+  const double remaining_ms =
+      kParkMs - ms_between(park_sent, stats_received);
+  std::vector<TaskId> order;
+  for (std::size_t i = 0; i < relative_ms.size(); ++i) {
+    const auto frame = client.read_frame();
+    ASSERT_TRUE(frame.has_value()) << "TaskDone " << i;
+    net::TaskDoneMsg done;
+    ASSERT_TRUE(net::decode(*frame, &done));
+    order.push_back(done.task);
+    EXPECT_GE(done.queue_ms, remaining_ms) << "task " << done.task;
+    EXPECT_GE(done.service_ms, 0.2) << "task " << done.task;
+    EXPECT_TRUE(done.missed_deadline) << "task " << done.task;
+  }
+  EXPECT_EQ(order, expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, DaemonOverTheWire,
+                         ::testing::Values(net::Poller::Backend::kEpoll,
+                                           net::Poller::Backend::kPoll));
+
+/// Ids of this process's threads.
+std::set<std::string> thread_ids() {
+  std::set<std::string> ids;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task"))
+    ids.insert(entry.path().filename().string());
+  return ids;
+}
+
+/// Threads in `after` that were not in `before` (threads that exited in
+/// between do not count).
+std::size_t new_threads(const std::set<std::string>& before,
+                        const std::set<std::string>& after) {
+  std::size_t n = 0;
+  for (const auto& id : after) n += before.count(id) == 0 ? 1 : 0;
+  return n;
+}
+
+TEST(TaskServer, RunsOneThreadAndExecutorsConcurrently) {
+  for (const std::size_t executors : {1u, 2u}) {
+    SCOPED_TRACE(executors);
+    const auto before = thread_ids();
+    net::TaskServerOptions options;
+    options.num_executors = executors;
+    options.num_classes = 1;
+    net::TaskServer server(options);
+    EXPECT_EQ(new_threads(before, thread_ids()), 1u);
+
+    TestClient client;
+    ASSERT_TRUE(client.connect_to(server.port()));
+    client.send_bytes(net::encode(net::HelloMsg{}));
+    const auto ack_frame = client.read_frame();
+    ASSERT_TRUE(ack_frame.has_value());
+    net::HelloAckMsg ack;
+    ASSERT_TRUE(net::decode(*ack_frame, &ack));
+    EXPECT_EQ(ack.num_executors, executors);
+
+    // One 100 ms task per executor, sent in one burst: they run side by
+    // side, so both are back well before two services' worth of time.
+    constexpr TimeMs kServiceMs = 100.0;
+    std::vector<std::uint8_t> burst;
+    for (std::size_t t = 0; t < executors; ++t) {
+      net::SubmitTaskMsg submit;
+      submit.task = t;
+      submit.query = t;
+      submit.relative_deadline_ms = 1000.0;
+      submit.simulated_service_ms = kServiceMs;
+      net::encode_into(submit, burst);
+    }
+    const auto sent = std::chrono::steady_clock::now();
+    client.send_bytes(burst);
+    for (std::size_t t = 0; t < executors; ++t) {
+      const auto frame = client.read_frame();
+      ASSERT_TRUE(frame.has_value());
+      net::TaskDoneMsg done;
+      ASSERT_TRUE(net::decode(*frame, &done));
+      EXPECT_GE(done.service_ms, kServiceMs);
+      EXPECT_LT(done.queue_ms, kServiceMs / 2);
+    }
+    EXPECT_LT(ms_between(sent, std::chrono::steady_clock::now()),
+              1.7 * kServiceMs);
+    EXPECT_EQ(server.tasks_executed(), executors);
+    EXPECT_EQ(new_threads(before, thread_ids()), 1u);
+  }
+}
 
 }  // namespace
 }  // namespace tailguard

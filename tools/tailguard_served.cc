@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
   flags.add_string("policy", &policy_name,
                    "queuing policy: fifo|priq|tedf|tailguard");
   flags.add_size("classes", &num_classes, "number of service classes");
-  flags.add_size("executors", &executors, "execution threads");
+  flags.add_size("executors", &executors,
+                 "executors (policy queues served by the daemon's one thread)");
   flags.add_double("gossip-ms", &gossip_ms,
                    "delta-gossip period in ms (0 = disabled: pre-gossip "
                    "behaviour, dispatchers rely on ModelSync backfill)");
@@ -80,8 +81,8 @@ int main(int argc, char** argv) {
     std::signal(SIGINT, handle_signal);
     std::signal(SIGTERM, handle_signal);
     while (!g_stop) {
-      // The network and executor threads do the work; this thread only waits
-      // for a shutdown signal.
+      // The daemon's thread does the work; this thread only waits for a
+      // shutdown signal.
       struct timespec ts = {0, 100 * 1000 * 1000};
       nanosleep(&ts, nullptr);
     }
