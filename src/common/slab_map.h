@@ -15,11 +15,14 @@
 //                     uint32_t slots over a dense entry slab. clear() keeps
 //                     every allocation, so steady-state refills (e.g. after a
 //                     CDF-model version bump) cost zero mallocs.
+//  * TicketSlab<T>  — values parked under the ticket (slot index) put()
+//                     hands out; take() recycles it, last freed first.
 //
-// Both are deterministic: SlabMap iterates live entries in id order
-// regardless of the insert/erase history, and SlabHashCache's layout depends
-// only on the key sequence. Neither shrinks; both expose reserve() so
-// callers sizing from a known workload can pin capacity before a hot loop.
+// All are deterministic: SlabMap iterates live entries in id order
+// regardless of the insert/erase history, SlabHashCache's layout depends
+// only on the key sequence, and TicketSlab's tickets only on the put/take
+// sequence. None shrinks; all expose reserve() so callers sizing from a
+// known workload can pin capacity before a hot loop.
 #pragma once
 
 #include <cstdint>
@@ -205,6 +208,38 @@ class SlabHashCache {
 
   std::vector<std::pair<std::uint64_t, T>> entries_;  ///< insertion order
   std::vector<std::uint32_t> buckets_;  ///< power-of-two open addressing
+};
+
+template <typename T>
+class TicketSlab {
+ public:
+  void reserve(std::size_t n) {
+    slots_.reserve(n);
+    free_.reserve(n);
+  }
+
+  /// Parks `value` and returns its ticket.
+  std::uint32_t put(T value) {
+    if (free_.empty()) {
+      slots_.push_back(std::move(value));
+      return static_cast<std::uint32_t>(slots_.size() - 1);
+    }
+    const std::uint32_t ticket = free_.back();
+    free_.pop_back();
+    slots_[ticket] = std::move(value);
+    return ticket;
+  }
+
+  /// Moves the value parked under `ticket` out and recycles the ticket.
+  T take(std::uint32_t ticket) {
+    TG_DCHECK(ticket < slots_.size());
+    free_.push_back(ticket);
+    return std::move(slots_[ticket]);
+  }
+
+ private:
+  std::vector<T> slots_;
+  std::vector<std::uint32_t> free_;
 };
 
 }  // namespace tailguard

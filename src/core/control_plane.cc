@@ -117,7 +117,7 @@ QueryPlan QueryControlPlane::begin_query(TimeMs t0, ClassId cls,
       plan.order_deadline = t0;  // unused for ordering
       break;
   }
-  plan.id = tracker_.begin_query(t0, cls, plan.fanout, plan.tail_deadline);
+  plan.id = tracker_.begin_query(t0, cls, plan.fanout);
   if (slack_) {
     // One slack sample per placed task: at enqueue, t_D − now is exactly
     // the budget. This is the distribution the tail-risk policy reads.

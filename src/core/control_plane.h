@@ -63,8 +63,9 @@ struct QueryPlan {
   TimeMs t0 = 0.0;
   /// Pre-dequeuing budget T_b (Eq. 6), or the caller's Eq. 7 override.
   TimeMs budget_ms = 0.0;
-  /// Shared task queuing deadline t_D = t0 + budget_ms; miss accounting
-  /// compares dequeue times against this.
+  /// Shared task queuing deadline t_D = t0 + budget_ms. Every backend
+  /// copies it into each task (QueuedTask::tail_deadline), where
+  /// ServerCore's miss rule compares the dequeue time against it.
   TimeMs tail_deadline = 0.0;
   /// Policy ordering key: t_D for TF-EDFQ, t0 + SLO for T-EDFQ, t0 for
   /// FIFO/PRIQ (unused for ordering there).

@@ -9,9 +9,12 @@
 //                   default, and the paper's behaviour.
 //   pow_d         — power-of-d-choices: per replica, sample d candidates
 //                   uniformly (without replacement) and take the least
-//                   loaded. O(d·kf) instead of O(n log n), and all draws
-//                   come from the caller's Rng, so runs are deterministic
-//                   for a fixed seed at any thread count.
+//                   loaded. The sampling is O(d·kf), but place() still
+//                   fills an n-entry index vector per call, and callers
+//                   build an n-entry candidate vector per query, so a
+//                   decision costs O(n + d·kf). All draws come from the
+//                   caller's Rng, so runs are deterministic for a fixed
+//                   seed at any thread count.
 //   tail_risk     — Malcolm-Strict's counter to least-loaded: minimising
 //                   load variance optimises the mean, not the p99. Scores
 //                   each candidate by the estimated probability it blows the

@@ -1,10 +1,10 @@
 // Task queue disciplines (paper §III.A).
 //
 // All four evaluated policies — FIFO, PRIQ, T-EDFQ and TF-EDFQ (TailGuard) —
-// are expressed as implementations of one TaskQueue interface; the simulator
-// and the threaded runtime are policy-agnostic. The two EDF variants share
-// EdfTaskQueue and differ only in how the caller computes `deadline` (see
-// DeadlineEstimator::deadline vs ::slo_deadline).
+// are expressed as implementations of one TaskQueue interface, which
+// ServerCore (core/server_core.h) drives on every backend. The two EDF
+// variants share EdfTaskQueue and differ only in how the caller computes
+// `deadline` (see DeadlineEstimator::deadline vs ::slo_deadline).
 #pragma once
 
 #include <deque>
@@ -17,13 +17,19 @@ namespace tailguard {
 
 /// A task waiting in a server's queue.
 struct QueuedTask {
+  /// The task's id; the runtime and the task daemon store a TicketSlab
+  /// ticket here instead, which finds the task's payload.
   TaskId task = 0;
   QueryId query = 0;
   ClassId cls = 0;
+  /// Receipt stamp: when the task reached its server (ServerCore::push).
   TimeMs enqueue_time = 0.0;
-  /// Queuing deadline t_D. FIFO and PRIQ ignore it for ordering but it is
-  /// still carried so deadline-miss statistics are policy-comparable.
+  /// Policy ordering key: t_D for TF-EDFQ, t_0 + SLO for T-EDFQ, t_0 for
+  /// FIFO and PRIQ, which ignore it. Not the miss rule's deadline.
   TimeMs deadline = 0.0;
+  /// Queuing deadline t_D under every policy: ServerCore flags the task
+  /// missed when it is dequeued later than this.
+  TimeMs tail_deadline = 0.0;
   /// Assigned by the queue on push; breaks EDF ties in FIFO order.
   std::uint64_t seq = 0;
   /// Optional service-demand annotation. The simulator pre-samples task
@@ -38,7 +44,7 @@ class TaskQueue {
 
   /// Enqueues a copy of `task`; the queue assigns `seq` on its copy. Taking
   /// a reference (not a by-value parameter) keeps the hot submit path to one
-  /// 48-byte copy — straight into the backing container.
+  /// 64-byte copy — straight into the backing container.
   virtual void push(const QueuedTask& task) = 0;
 
   /// Removes and returns the next task. Precondition: !empty().

@@ -32,7 +32,6 @@ struct QueryState {
   ClassId cls = 0;             ///< service class
   std::uint32_t fanout = 0;    ///< number of tasks spawned
   std::uint32_t remaining = 0; ///< tasks not yet merged
-  TimeMs deadline = 0.0;       ///< shared task queuing deadline t_D
 };
 
 class QueryTracker {
@@ -51,15 +50,13 @@ class QueryTracker {
   }
 
   /// Registers a new query; returns its id.
-  QueryId begin_query(TimeMs t0, ClassId cls, std::uint32_t fanout,
-                      TimeMs deadline) {
+  QueryId begin_query(TimeMs t0, ClassId cls, std::uint32_t fanout) {
     TG_CHECK_MSG(fanout >= 1, "query must spawn at least one task");
     const QueryId id = start_ + started_++ * stride_;
     states_.emplace(id) = QueryState{.t0 = t0,
                                      .cls = cls,
                                      .fanout = fanout,
-                                     .remaining = fanout,
-                                     .deadline = deadline};
+                                     .remaining = fanout};
     return id;
   }
 

@@ -197,6 +197,7 @@ std::future<QueryResult> RemoteDispatcher::submit(
         msg.cls = cls;
         msg.relative_deadline_ms = plan.order_deadline - t0;
         msg.simulated_service_ms = tasks[i].simulated_service_ms;
+        msg.relative_tail_deadline_ms = plan.tail_deadline - t0;
         ServerConn& conn = servers_[placement[i]];
         // Frames for the same server coalesce into one chunk here and leave
         // in a single vectored send below. A queue that already held output

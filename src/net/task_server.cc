@@ -22,9 +22,9 @@ TaskServer::TaskServer(TaskServerOptions options)
   {
     MutexLock lock(mu_);
     next_gossip_ms_ = options_.gossip_interval_ms;
-    executors_.resize(options_.num_executors);
-    for (Executor& e : executors_)
-      e.queue = make_task_queue(options_.policy, options_.num_classes);
+    executors_.reserve(options_.num_executors);
+    for (std::size_t i = 0; i < options_.num_executors; ++i)
+      executors_.emplace_back(options_.policy, options_.num_classes);
   }
   net_thread_ = std::thread([this] { net_loop(); });
 }
@@ -68,13 +68,13 @@ std::size_t TaskServer::queue_depth() const {
 
 std::size_t TaskServer::queued_tasks() const {
   std::size_t depth = 0;
-  for (const Executor& e : executors_) depth += e.queue->size();
+  for (const ServerCore& e : executors_) depth += e.queued();
   return depth;
 }
 
 bool TaskServer::executors_idle() const {
-  for (const Executor& e : executors_)
-    if (e.busy || !e.queue->empty()) return false;
+  for (const ServerCore& e : executors_)
+    if (e.backlog() != 0) return false;
   return true;
 }
 
@@ -151,24 +151,21 @@ void TaskServer::handle_frame(std::uint64_t conn_id, Connection& conn,
     case MsgType::kSubmitTask: {
       SubmitTaskMsg msg;
       if (!decode(frame, &msg)) return;
+      const TimeMs now = now_ms();
       QueuedTask task;
-      task.task = next_ticket_++;
+      task.task = origins_.put({conn_id, msg.task});
       task.query = msg.query;
       task.cls = msg.cls >= options_.num_classes
                      ? static_cast<ClassId>(options_.num_classes - 1)
                      : msg.cls;
-      task.enqueue_time = now_ms();
-      task.deadline = task.enqueue_time + msg.relative_deadline_ms;
+      task.deadline = now + msg.relative_deadline_ms;
+      task.tail_deadline = now + msg.relative_tail_deadline_ms;
       task.service_time = msg.simulated_service_ms;
-      task_origin_[task.task] = {conn_id, msg.task};
       // Route to the least-backlogged executor, counting a task in service.
-      const auto backlog = [](const Executor& e) {
-        return e.queue->size() + (e.busy ? 1 : 0);
-      };
-      Executor* target = &executors_.front();
-      for (Executor& e : executors_)
-        if (backlog(e) < backlog(*target)) target = &e;
-      target->queue->push(task);
+      ServerCore* target = &executors_.front();
+      for (ServerCore& e : executors_)
+        if (e.backlog() < target->backlog()) target = &e;
+      target->push(task, now);
       break;
     }
     case MsgType::kStatsRequest: {
@@ -188,40 +185,36 @@ void TaskServer::handle_frame(std::uint64_t conn_id, Connection& conn,
 void TaskServer::run_executors() {
   auto next_end = DeadlineTimer::Clock::time_point::max();
   const TimeMs now = now_ms();
-  for (Executor& e : executors_) {
+  for (ServerCore& e : executors_) {
     // Compared as the same difference the TaskDone reports, so a reported
     // service_ms is never below the simulated time.
-    if (e.busy && now - e.dequeue_ms >= e.current.service_time) {
-      complete_task(e.current, e.dequeue_ms, now);
-      e.busy = false;
+    if (e.busy() && now - e.dequeue_time() >= e.current().service_time)
+      complete_task(e, now);
+    while (!e.busy() && e.queued() != 0) {
+      // A zero-time task completes on the spot.
+      if (e.start_next(now_ms()).service_time <= 0.0)
+        complete_task(e, now_ms());
     }
-    while (!e.busy && !e.queue->empty()) {
-      e.current = e.queue->pop();
-      e.dequeue_ms = now_ms();
-      e.busy = e.current.service_time > 0.0;
-      if (!e.busy) complete_task(e.current, e.dequeue_ms, now_ms());
-    }
-    if (e.busy) {
+    if (e.busy()) {
       // Rounded up to the timer's nanosecond, so the loop it wakes sees the
       // service as over.
       const auto end = epoch_ + std::chrono::ceil<std::chrono::nanoseconds>(
                                     std::chrono::duration<double, std::milli>(
-                                        e.dequeue_ms + e.current.service_time));
+                                        e.dequeue_time() +
+                                        e.current().service_time));
       next_end = std::min(next_end, end);
     }
   }
   service_timer_.arm_at(next_end);
 }
 
-void TaskServer::complete_task(const QueuedTask& task, TimeMs dequeue_ms,
-                               TimeMs complete_ms) {
-  const bool missed = dequeue_ms > task.deadline;
-  TaskOrigin origin;
-  const auto origin_it = task_origin_.find(task.task);
-  if (origin_it != task_origin_.end()) {
-    origin = origin_it->second;
-    task_origin_.erase(origin_it);
-  }
+void TaskServer::complete_task(ServerCore& executor, TimeMs complete_ms) {
+  executor.finish();
+  const QueuedTask& task = executor.current();
+  const TimeMs dequeue_ms = executor.dequeue_time();
+  const bool missed = executor.missed();
+  const TaskOrigin origin =
+      origins_.take(static_cast<std::uint32_t>(task.task));
   TaskDoneMsg msg;
   msg.task = origin.task;
   msg.query = task.query;

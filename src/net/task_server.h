@@ -2,9 +2,9 @@
 //
 // One thread runs the whole daemon: an async TCP loop (epoll via
 // net/poller.h, with a poll(2) fallback) speaking the net/wire.h protocol,
-// and the executors behind it. An executor is one policy queue (the
-// make_task_queue disciplines the simulator and the in-process runtime use,
-// so the queuing semantics are identical) plus the task it is serving:
+// and the executors behind it. An executor is one ServerCore
+// (core/server_core.h): the policy queue, task in service and miss rule the
+// simulator and the in-process runtime drive too.
 //
 //   dispatcher --- SubmitTask ---> [policy queue] -> executor (busy until t)
 //   dispatcher <--- TaskDone ----- (queue_ms, post-queuing time, miss flag)
@@ -32,8 +32,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/slab_map.h"
 #include "common/thread_annotations.h"
-#include "core/policy.h"
+#include "core/server_core.h"
 #include "net/poller.h"
 #include "net/send_queue.h"
 #include "net/socket.h"
@@ -116,20 +117,10 @@ class TaskServer {
     std::uint64_t gossip_dequeues_missed = 0;
   };
 
-  /// One executor: a policy queue and the task it is serving. Queued
-  /// entries carry a daemon-wide ticket as their `task` (see TaskOrigin) and
-  /// the simulated service time as their `service_time`.
-  struct Executor {
-    std::unique_ptr<TaskQueue> queue;
-    bool busy = false;
-    /// The task in service, valid while `busy`.
-    QueuedTask current;
-    TimeMs dequeue_ms = 0.0;
-  };
-
-  /// Where a queued task came from, for routing its TaskDone. Keyed by
-  /// ticket, not by wire id: every dispatcher numbers its tasks from 0, so
-  /// two dispatchers sharing a daemon send the same ids.
+  /// Where a queued task came from, for routing its TaskDone. Parked in
+  /// `origins_` under a ticket that the executor queues as the task's
+  /// `task`, never under the wire id: every dispatcher numbers its tasks
+  /// from 0, so two dispatchers sharing a daemon send the same ids.
   struct TaskOrigin {
     std::uint64_t conn = 0;
     TaskId task = 0;
@@ -152,10 +143,11 @@ class TaskServer {
   /// executor pop in policy order (a zero-time task completes on the spot),
   /// and arms the service timer for the earliest end still pending.
   void run_executors() TG_REQUIRES(mu_);
-  /// Counts a finished task and reports it: a TaskDone to its connection,
-  /// else a ModelSync sample, plus gossip to the other connections.
-  void complete_task(const QueuedTask& task, TimeMs dequeue_ms,
-                     TimeMs complete_ms) TG_REQUIRES(mu_);
+  /// Ends `executor`'s service at `complete_ms`, counts the task and
+  /// reports it: a TaskDone to its connection, else a ModelSync sample, plus
+  /// gossip to the other connections.
+  void complete_task(ServerCore& executor, TimeMs complete_ms)
+      TG_REQUIRES(mu_);
   /// The stop() half that runs on the loop: closes the listen socket and
   /// every connection, then wakes stop().
   void close_connections() TG_REQUIRES(mu_);
@@ -186,14 +178,14 @@ class TaskServer {
   CondVar closed_cv_;
   bool stopping_ TG_GUARDED_BY(mu_) = false;
   bool closed_ TG_GUARDED_BY(mu_) = false;
-  std::vector<Executor> executors_ TG_GUARDED_BY(mu_);
+  /// Queued entries carry an `origins_` ticket as their `task` and the
+  /// simulated service time as their `service_time`.
+  std::vector<ServerCore> executors_ TG_GUARDED_BY(mu_);
   std::unordered_map<std::uint64_t, Connection> conns_ TG_GUARDED_BY(mu_);
   /// fd -> connection id.
   std::unordered_map<int, std::uint64_t> fd_conn_ TG_GUARDED_BY(mu_);
   std::uint64_t next_conn_id_ TG_GUARDED_BY(mu_) = 1;
-  std::unordered_map<std::uint64_t, TaskOrigin> task_origin_
-      TG_GUARDED_BY(mu_);
-  std::uint64_t next_ticket_ TG_GUARDED_BY(mu_) = 0;
+  TicketSlab<TaskOrigin> origins_ TG_GUARDED_BY(mu_);
   std::vector<double> pending_samples_ TG_GUARDED_BY(mu_);
   std::uint64_t tasks_executed_ TG_GUARDED_BY(mu_) = 0;
   std::uint64_t tasks_missed_ TG_GUARDED_BY(mu_) = 0;

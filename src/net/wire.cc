@@ -137,6 +137,7 @@ void encode_into(const SubmitTaskMsg& msg, std::vector<std::uint8_t>& out) {
   w.u32(msg.cls);
   w.f64(msg.relative_deadline_ms);
   w.f64(msg.simulated_service_ms);
+  w.f64(msg.relative_tail_deadline_ms);
   w.finish();
 }
 
@@ -251,7 +252,8 @@ bool decode(const Frame& frame, SubmitTaskMsg* out) {
   Reader r(frame.payload);
   return r.u64(&out->task) && r.u64(&out->query) && r.u32(&out->cls) &&
          r.f64(&out->relative_deadline_ms) &&
-         r.f64(&out->simulated_service_ms) && r.done();
+         r.f64(&out->simulated_service_ms) &&
+         r.f64(&out->relative_tail_deadline_ms) && r.done();
 }
 
 bool decode(const Frame& frame, TaskDoneMsg* out) {

@@ -33,7 +33,7 @@
 namespace tailguard::net {
 
 inline constexpr std::uint16_t kWireMagic = 0x5447;  // "TG"
-inline constexpr std::uint8_t kWireVersion = 1;
+inline constexpr std::uint8_t kWireVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 8;
 /// Upper bound on a single payload; a peer announcing more is corrupt or
 /// hostile, and the connection is dropped rather than the allocation made.
@@ -68,16 +68,19 @@ struct HelloAckMsg {
   friend bool operator==(const HelloAckMsg&, const HelloAckMsg&) = default;
 };
 
-/// One task of a fanned-out query. The queuing deadline is shipped as a
-/// duration relative to receipt: the server stamps `local_now +
-/// relative_deadline_ms` into its policy queue, mirroring Eq. 6 with the
-/// network delay folded into the budget.
+/// One task of a fanned-out query. Deadlines are shipped as durations
+/// relative to receipt, which the server stamps against its own clock,
+/// mirroring Eq. 6 with the network delay folded into the budget:
+/// `relative_deadline_ms` is the policy ordering key, and
+/// `relative_tail_deadline_ms` is t_D, which the miss rule judges against.
+/// The two differ except under TF-EDFQ. Version 2 appended the t_D field.
 struct SubmitTaskMsg {
   TaskId task = 0;
   QueryId query = 0;
   ClassId cls = 0;
   TimeMs relative_deadline_ms = 0.0;
   TimeMs simulated_service_ms = 0.0;
+  TimeMs relative_tail_deadline_ms = 0.0;
 
   friend bool operator==(const SubmitTaskMsg&, const SubmitTaskMsg&) = default;
 };

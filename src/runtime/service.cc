@@ -55,8 +55,9 @@ TailGuardService::TailGuardService(ServiceOptions options)
 
   const auto clock = [this] { return now_ms(); };
   const auto on_complete = [this](ServerId worker, const RuntimeTask& task,
-                                  TimeMs dequeue_ms, TimeMs complete_ms) {
-    on_task_complete(worker, task, dequeue_ms, complete_ms);
+                                  TimeMs dequeue_ms, TimeMs complete_ms,
+                                  bool missed) {
+    on_task_complete(worker, task, dequeue_ms, complete_ms, missed);
   };
   workers_.reserve(options_.num_workers);
   for (std::size_t i = 0; i < options_.num_workers; ++i)
@@ -191,9 +192,9 @@ std::future<QueryResult> TailGuardService::submit(
     sh.pending.emplace(qid, std::move(pending));
 
     for (std::size_t i = 0; i < tasks.size(); ++i) {
-      runtime_tasks[i].id = next_task_id_.fetch_add(1, std::memory_order_relaxed);
       runtime_tasks[i].query = qid;
       runtime_tasks[i].cls = cls;
+      runtime_tasks[i].tail_deadline = plan.tail_deadline;
       runtime_tasks[i].work = std::move(tasks[i].work);
       runtime_tasks[i].simulated_service_ms = tasks[i].simulated_service_ms;
     }
@@ -208,8 +209,8 @@ std::future<QueryResult> TailGuardService::submit(
 
 void TailGuardService::on_task_complete(ServerId worker,
                                         const RuntimeTask& task,
-                                        TimeMs dequeue_ms,
-                                        TimeMs complete_ms) {
+                                        TimeMs dequeue_ms, TimeMs complete_ms,
+                                        bool missed) {
   const std::uint32_t shard = control_.shard_of(task.query);
   std::promise<QueryResult> to_fulfill;
   QueryResult result;
@@ -217,8 +218,6 @@ void TailGuardService::on_task_complete(ServerId worker,
   {
     Shard& sh = *shards_[shard];
     MutexLock lock(sh.mu);
-    const QueryState& qs = control_.query_state(task.query);
-    const bool missed = dequeue_ms > qs.deadline;
     control_.record_task_dequeue(task.query, dequeue_ms, task.cls, missed);
 
     // Online updating (§III.B.2): post-queuing time = completion - dequeue.

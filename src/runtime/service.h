@@ -157,7 +157,7 @@ class TailGuardService {
   };
 
   void on_task_complete(ServerId worker, const RuntimeTask& task,
-                        TimeMs dequeue_ms, TimeMs complete_ms);
+                        TimeMs dequeue_ms, TimeMs complete_ms, bool missed);
   /// Caller must hold the submitting shard's mutex (which one is a runtime
   /// value, so the requirement is not expressible as a TSA capability —
   /// control_ state is per-shard as documented on Shard).
@@ -183,7 +183,6 @@ class TailGuardService {
   /// per shard, as documented on Shard.
   ShardedControlPlane control_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<TaskId> next_task_id_{0};
   /// Routing key source: one monotone counter across all submitters.
   std::atomic<std::uint64_t> submit_seq_{0};
   /// Racy mirror of control_.next_sync_at(), so non-due completions skip the

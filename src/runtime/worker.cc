@@ -26,7 +26,7 @@ Worker::Worker(ServerId id, Policy policy, std::size_t num_classes,
     : id_(id),
       clock_(std::move(clock)),
       on_complete_(std::move(on_complete)),
-      queue_(make_task_queue(policy, num_classes)) {
+      core_(policy, num_classes) {
   TG_CHECK_MSG(clock_ != nullptr, "worker needs a clock");
   TG_CHECK_MSG(on_complete_ != nullptr, "worker needs a completion callback");
   thread_ = std::thread([this] { run(); });
@@ -78,20 +78,19 @@ void Worker::drain_ring() {
   while (ring_.try_pop(s)) {
     ++consumed_;
     QueuedTask qt;
-    qt.task = s.task.id;
     qt.query = s.task.query;
     qt.cls = s.task.cls;
-    qt.enqueue_time = s.enqueue_ms;
     qt.deadline = s.order_deadline;
-    payloads_.emplace(s.task.id, std::move(s.task));
-    queue_->push(qt);
+    qt.tail_deadline = s.task.tail_deadline;
+    qt.task = tasks_.put(std::move(s.task));
+    core_.push(qt, s.enqueue_ms);
   }
 }
 
 void Worker::run() {
   for (;;) {
     drain_ring();
-    if (queue_->empty()) {
+    if (core_.queued() == 0) {
       // Exit only when shutdown is flagged AND every accepted submit has
       // been consumed — a producer past its shutdown check but before its
       // ring publish holds the worker here via `submitted_`.
@@ -118,17 +117,15 @@ void Worker::run() {
       continue;
     }
 
-    const QueuedTask qt = queue_->pop();
+    const QueuedTask& qt = core_.start_next(clock_());
     depth_.fetch_sub(1, std::memory_order_relaxed);
-    const auto it = payloads_.find(qt.task);
-    TG_CHECK_MSG(it != payloads_.end(), "missing payload for task");
-    RuntimeTask task = std::move(it->second);
-    payloads_.erase(it);
-
-    const TimeMs dequeue_ms = clock_();
+    const RuntimeTask task =
+        tasks_.take(static_cast<std::uint32_t>(qt.task));
     execute_task_payload(task);
     const TimeMs complete_ms = clock_();
-    on_complete_(id_, task, dequeue_ms, complete_ms);
+    on_complete_(id_, task, core_.dequeue_time(), complete_ms,
+                 core_.missed());
+    core_.finish();
   }
 }
 

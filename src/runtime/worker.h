@@ -1,9 +1,9 @@
 // A task-server worker thread for the in-process TailGuard runtime.
 //
 // Each worker models one task server of Fig. 2: a single execution thread
-// fronted by one policy queue (the same TaskQueue implementations the
-// simulator uses, so the queuing semantics are identical). Tasks carry
-// either a real closure or a simulated service duration.
+// driving one ServerCore (core/server_core.h), the same queue, receipt stamp
+// and miss rule the simulator and the task daemon drive. Tasks carry either
+// a real closure or a simulated service duration.
 //
 // Submission path (the microsecond hot path): producers publish into a
 // bounded lock-free MPSC ring; the worker drains the ring into its private
@@ -17,21 +17,21 @@
 
 #include <atomic>
 #include <functional>
-#include <memory>
 #include <thread>
-#include <unordered_map>
 
+#include "common/slab_map.h"
 #include "common/thread_annotations.h"
-#include "core/policy.h"
+#include "core/server_core.h"
 #include "runtime/mpsc_ring.h"
 
 namespace tailguard {
 
 /// Work payload of one task.
 struct RuntimeTask {
-  TaskId id = 0;
   QueryId query = 0;
   ClassId cls = 0;
+  /// Queuing deadline t_D: the task missed when dequeued later than this.
+  TimeMs tail_deadline = 0.0;
   /// Real work to run; when empty the worker busy-sleeps for
   /// `simulated_service_ms` instead.
   std::function<void()> work;
@@ -41,10 +41,11 @@ struct RuntimeTask {
 class Worker {
  public:
   /// Called on the worker thread after each task finishes.
-  /// `dequeue_ms`/`complete_ms` are on the caller-provided clock.
+  /// `dequeue_ms`/`complete_ms` are on the caller-provided clock; `missed`
+  /// is ServerCore's miss flag for the task.
   using CompletionFn = std::function<void(
       ServerId worker, const RuntimeTask& task, TimeMs dequeue_ms,
-      TimeMs complete_ms)>;
+      TimeMs complete_ms, bool missed)>;
   /// Monotonic clock in milliseconds shared across the service.
   using ClockFn = std::function<TimeMs()>;
 
@@ -129,9 +130,10 @@ class Worker {
   // tg-lint: allow(guarded-member): consumer-thread private.
   std::uint64_t consumed_ = 0;
   // tg-lint: allow(guarded-member): consumer-thread private.
-  std::unique_ptr<TaskQueue> queue_;
+  ServerCore core_;
+  /// Queued tasks' payloads; the core queues their tickets.
   // tg-lint: allow(guarded-member): consumer-thread private.
-  std::unordered_map<TaskId, RuntimeTask> payloads_;
+  TicketSlab<RuntimeTask> tasks_;
 
   std::thread thread_;
 };

@@ -10,6 +10,7 @@
 #include "common/check.h"
 #include "common/slab_map.h"
 #include "common/stats.h"
+#include "core/server_core.h"
 #include "dist/arrival.h"
 #include "dist/piecewise_linear_quantile.h"
 #include "sim/event_queue.h"
@@ -22,68 +23,24 @@ using sim_internal::Event;
 using sim_internal::EventQueue;
 
 // Payload carried by kTaskEnqueue (the task in flight) and kResultArrival
-// (the completed task's accounting), pooled with a freelist.
+// (the completed task's accounting), parked in a TicketSlab; the event key
+// carries the ticket.
 struct EventPayload {
   QueuedTask task;         // kTaskEnqueue
   QueryId query = 0;       // kResultArrival
   TimeMs dequeue_time = 0; // kResultArrival
   bool missed = false;     // kResultArrival
-  bool recorded = false;   // kResultArrival
-  std::uint32_t next_free = 0;
-};
-
-class PayloadPool {
- public:
-  void reserve(std::size_t n) { pool_.reserve(n); }
-
-  std::uint32_t alloc() {
-    if (free_head_ != kNone) {
-      const std::uint32_t idx = free_head_;
-      free_head_ = pool_[idx].next_free;
-      return idx;
-    }
-    pool_.emplace_back();
-    return static_cast<std::uint32_t>(pool_.size() - 1);
-  }
-
-  EventPayload& operator[](std::uint32_t idx) { return pool_[idx]; }
-
-  void free(std::uint32_t idx) {
-    pool_[idx].next_free = free_head_;
-    free_head_ = idx;
-  }
-
- private:
-  static constexpr std::uint32_t kNone = ~0u;
-  std::vector<EventPayload> pool_;
-  std::uint32_t free_head_ = kNone;
 };
 
 struct ServerState {
-  std::unique_ptr<TaskQueue> queue;
-  /// Concrete views of `queue` for the two disciplines the figure runs
-  /// exercise most (TF-EDFQ/T-EDFQ on the EDF heap, FIFO), set once at
-  /// setup — the same pattern as service_plq below: both classes are final,
-  /// so the per-task push/pop devirtualizes and inlines through the typed
-  /// pointer. All servers share one discipline, so the dispatch branch is
-  /// perfectly predicted; PRIQ falls back to the virtual call.
-  EdfTaskQueue* queue_edf = nullptr;
-  FifoTaskQueue* queue_fifo = nullptr;
-  /// Mirrors queue->size(); the idle/backlog checks run per task and the
-  /// counter spares them a virtual call into the discipline.
-  std::uint32_t queue_len = 0;
+  /// Queue, task in service, dequeue time and miss flag.
+  ServerCore core;
   DistributionPtr service;
   /// Non-null when `service` is a PiecewiseLinearQuantile (the calibrated
   /// Tailbench workloads — i.e. nearly every figure run): the per-task draw
   /// then goes through the concrete final class, which devirtualizes and
   /// inlines. Falls back to the virtual sample() for other distributions.
   const PiecewiseLinearQuantile* service_plq = nullptr;
-  bool busy = false;
-  QueuedTask current;
-  TimeMs current_started = 0.0;
-  bool current_recorded = false;  // post-warmup accounting for current task
-  bool current_missed = false;    // dequeued past its deadline
-  TimeMs busy_since = 0.0;
   double busy_accum = 0.0;
 };
 
@@ -370,16 +327,14 @@ SimResult run_simulation(const SimConfig& config) {
   }
 
   // --- servers ---------------------------------------------------------------
-  std::vector<ServerState> servers(config.num_servers);
-  for (std::size_t s = 0; s < config.num_servers; ++s) {
-    servers[s].queue = make_task_queue(config.policy, config.classes.size());
-    servers[s].queue_edf = dynamic_cast<EdfTaskQueue*>(servers[s].queue.get());
-    servers[s].queue_fifo =
-        dynamic_cast<FifoTaskQueue*>(servers[s].queue.get());
-    servers[s].service = per_server[s];
-    servers[s].service_plq =
-        dynamic_cast<const PiecewiseLinearQuantile*>(per_server[s].get());
-  }
+  std::vector<ServerState> servers;
+  servers.reserve(config.num_servers);
+  for (std::size_t s = 0; s < config.num_servers; ++s)
+    servers.push_back(ServerState{
+        .core = ServerCore(config.policy, config.classes.size()),
+        .service = per_server[s],
+        .service_plq =
+            dynamic_cast<const PiecewiseLinearQuantile*>(per_server[s].get())});
 
   // --- default placement: uniform distinct servers ----------------------------
   std::vector<ServerId> perm(config.num_servers);
@@ -455,49 +410,38 @@ SimResult run_simulation(const SimConfig& config) {
     return config.service_scale ? config.service_scale(t, sid) : 1.0;
   };
 
-  PayloadPool payloads;
+  TicketSlab<EventPayload> payloads;
   // With a result-path delay, the query handler only learns about a dequeue
   // (and its deadline miss, piggybacked on the result — §III.C) when the
   // result arrives; with central queuing it knows immediately.
   const bool defer_result_accounting = config.result_delay_ms != nullptr;
 
-  // Starts `task` on idle server `sid` at time `t`.
-  const auto start_task = [&](ServerState& sv, ServerId sid,
-                              const QueuedTask& task, TimeMs t) {
-    TG_DCHECK(!sv.busy);
-    sv.busy = true;
-    sv.busy_since = t;
-    sv.current = task;
-    sv.current_started = t;
-    sv.current_recorded =
-        task.query < record_query_flag.size() && record_query_flag[task.query];
-    sv.current_missed =
-        t > control.query_state(task.query).deadline + 1e-12;
+  // Accounts for the task server `sid`'s core just put into service at `t`
+  // and schedules its end.
+  const auto started_task = [&](ServerState& sv, ServerId sid, TimeMs t) {
+    const QueuedTask& task = sv.core.current();
     if (!defer_result_accounting) {
-      control.record_task_dequeue(task.query, t, task.cls, sv.current_missed);
-      if (sv.current_recorded) metrics.record_task_dequeue(sv.current_missed);
+      control.record_task_dequeue(task.query, t, task.cls, sv.core.missed());
+      if (record_query_flag[task.query])
+        metrics.record_task_dequeue(sv.core.missed());
     }
     const TimeMs service = task.service_time * scale_at(t, sid);
     events.push(Event{t + service, Event::kTaskDone, sid});
   };
 
-  // Hands a task to its server's queue (or straight into service). The
-  // queue-empty check matters: inside the completion handler the server is
-  // momentarily idle *with* a non-empty queue (the head is popped after the
-  // result is processed), and a request-chained follow-up task must not
-  // jump that queue.
+  // Hands a task to its server: straight into service on an idle server
+  // with nothing queued, else into the queue. The backlog check matters:
+  // inside the completion handler the server is momentarily idle *with* a
+  // non-empty queue (the head is popped after the result is processed), and
+  // a request-chained follow-up task must not jump that queue.
   const auto deliver_task = [&](const QueuedTask& task, ServerId sid,
                                 TimeMs t) {
     ServerState& sv = servers[sid];
-    if (sv.busy || sv.queue_len != 0) {
-      // Concrete-pointer dispatch (see ServerState): the EDF/FIFO push
-      // inlines here instead of going through the vtable.
-      if (sv.queue_edf != nullptr) sv.queue_edf->push(task);
-      else if (sv.queue_fifo != nullptr) sv.queue_fifo->push(task);
-      else sv.queue->push(task);
-      ++sv.queue_len;
+    if (sv.core.backlog() != 0) {
+      sv.core.push(task, t);
     } else {
-      start_task(sv, sid, task, t);
+      sv.core.start(task, t);
+      started_task(sv, sid, t);
     }
   };
 
@@ -533,18 +477,17 @@ SimResult run_simulation(const SimConfig& config) {
       placed = chosen;
     } else if (informed_placement) {
       // pow_d / tail_risk: live queue depths (queued + in service) as the
-      // candidate loads, decided by the shard's policy. Per-decision cost
-      // (an O(n) candidate build and a returned vector) is acceptable on
-      // this opt-in path; the default path below stays allocation-free.
+      // candidate loads, decided by the shard's policy. Each decision costs
+      // an O(n) candidate build plus a returned vector, and allocates:
+      // cand_scratch is moved into place(), so its reserved capacity is
+      // lost every query. The default path below stays allocation-free.
       TG_CHECK_MSG(kf <= servers.size(),
                    "fanout " << kf << " exceeds cluster size "
                              << servers.size());
       cand_scratch.clear();
-      for (std::size_t s = 0; s < servers.size(); ++s) {
-        cand_scratch.emplace_back(
-            servers[s].queue_len + (servers[s].busy ? 1 : 0),
-            static_cast<ServerId>(s));
-      }
+      for (std::size_t s = 0; s < servers.size(); ++s)
+        cand_scratch.emplace_back(servers[s].core.backlog(),
+                                  static_cast<ServerId>(s));
       chosen = control.place(shard, std::move(cand_scratch), kf, cls, t);
       placed = chosen;
     } else {
@@ -579,8 +522,8 @@ SimResult run_simulation(const SimConfig& config) {
       QueuedTask task;
       task.query = qid;
       task.cls = cls;
-      task.enqueue_time = t;
       task.deadline = plan.order_deadline;
+      task.tail_deadline = plan.tail_deadline;
       if (config.policy == Policy::kTfEdf && config.task_budget_jitter > 0.0) {
         // Footnote-4 ablation: individually jittered ordering budgets.
         const double u = rng.uniform(-1.0, 1.0);
@@ -594,8 +537,7 @@ SimResult run_simulation(const SimConfig& config) {
                               ? placed_sv.service_plq->sample(rng)
                               : placed_sv.service->sample(rng);
       if (config.dispatch_delay_ms != nullptr) {
-        const std::uint32_t idx = payloads.alloc();
-        payloads[idx].task = task;
+        const std::uint32_t idx = payloads.put(EventPayload{.task = task});
         events.push(Event{t + config.dispatch_delay_ms->sample(rng),
                           Event::kTaskEnqueue, sid, idx});
       } else {
@@ -608,8 +550,8 @@ SimResult run_simulation(const SimConfig& config) {
   // online estimator, records deferred accounting, merges the result and —
   // in request mode — issues the request's next query.
   const auto handle_result = [&](TimeMs t, QueryId query, ServerId server,
-                                 TimeMs dequeue_time, bool missed,
-                                 bool recorded) {
+                                 TimeMs dequeue_time, bool missed) {
+    const bool recorded = record_query_flag[query];
     if (config.estimation == EstimationMode::kOnlineStreaming ||
         config.estimation == EstimationMode::kOnlineFromSingleProfile)
       control.observe_post_queuing(query, server, t - dequeue_time);
@@ -763,49 +705,38 @@ SimResult run_simulation(const SimConfig& config) {
     for (;;) {
       if (ev.kind() == Event::kTaskEnqueue) {
         // A dispatched task reaches its server.
-        const QueuedTask task = payloads[ev.payload()].task;
-        payloads.free(ev.payload());
-        deliver_task(task, ev.server(), now);
+        deliver_task(payloads.take(ev.payload()).task, ev.server(), now);
       } else if (ev.kind() == Event::kTaskDone) {
         // Task completion on ev.server.
         ServerState& sv = servers[ev.server()];
-        TG_DCHECK(sv.busy);
-        const QueuedTask done = sv.current;
-        const TimeMs dequeue_time = sv.current_started;
-        const bool missed = sv.current_missed;
-        const bool recorded = sv.current_recorded;
+        const QueryId query = sv.core.current().query;
+        const TimeMs dequeue_time = sv.core.dequeue_time();
+        const bool missed = sv.core.missed();
 
         // Free the server before the result handling possibly issues
         // follow-up queries that could land on this very server.
-        sv.busy = false;
-        sv.busy_accum += now - sv.busy_since;
+        sv.core.finish();
+        sv.busy_accum += now - dequeue_time;
 
         if (config.result_delay_ms != nullptr) {
-          const std::uint32_t idx = payloads.alloc();
-          payloads[idx].query = done.query;
-          payloads[idx].dequeue_time = dequeue_time;
-          payloads[idx].missed = missed;
-          payloads[idx].recorded = recorded;
+          const std::uint32_t idx = payloads.put(EventPayload{
+              .task = {}, .query = query, .dequeue_time = dequeue_time,
+              .missed = missed});
           events.push(Event{now + config.result_delay_ms->sample(rng),
                             Event::kResultArrival, ev.server(), idx});
         } else {
-          handle_result(now, done.query, ev.server(), dequeue_time, missed,
-                        recorded);
+          handle_result(now, query, ev.server(), dequeue_time, missed);
         }
 
-        if (sv.queue_len != 0 && !sv.busy) {
-          QueuedTask next = sv.queue_edf != nullptr ? sv.queue_edf->pop()
-                            : sv.queue_fifo != nullptr ? sv.queue_fifo->pop()
-                                                       : sv.queue->pop();
-          --sv.queue_len;
-          start_task(sv, ev.server(), next, now);
+        if (sv.core.queued() != 0 && !sv.core.busy()) {
+          sv.core.start_next(now);
+          started_task(sv, ev.server(), now);
         }
       } else {
         // A task result reaches the query handler.
-        const EventPayload payload = payloads[ev.payload()];
-        payloads.free(ev.payload());
+        const EventPayload payload = payloads.take(ev.payload());
         handle_result(now, payload.query, ev.server(), payload.dequeue_time,
-                      payload.missed, payload.recorded);
+                      payload.missed);
       }
       if (events.empty() || events.peek_time() != now) break;
       ev = events.pop();

@@ -131,7 +131,7 @@ TEST(AdmissionController, PaperDefaults) {
 
 TEST(QueryTracker, CompletesAfterAllTasks) {
   QueryTracker tracker;
-  const QueryId id = tracker.begin_query(10.0, 1, 3, 25.0);
+  const QueryId id = tracker.begin_query(10.0, 1, 3);
   EXPECT_EQ(tracker.in_flight(), 1u);
   EXPECT_FALSE(tracker.complete_task(id));
   EXPECT_FALSE(tracker.complete_task(id));
@@ -141,19 +141,18 @@ TEST(QueryTracker, CompletesAfterAllTasks) {
   EXPECT_DOUBLE_EQ(final_state.t0, 10.0);
   EXPECT_EQ(final_state.cls, 1u);
   EXPECT_EQ(final_state.fanout, 3u);
-  EXPECT_DOUBLE_EQ(final_state.deadline, 25.0);
 }
 
 TEST(QueryTracker, SequentialIds) {
   QueryTracker tracker;
-  EXPECT_EQ(tracker.begin_query(0.0, 0, 1, 1.0), 0u);
-  EXPECT_EQ(tracker.begin_query(0.0, 0, 1, 1.0), 1u);
+  EXPECT_EQ(tracker.begin_query(0.0, 0, 1), 0u);
+  EXPECT_EQ(tracker.begin_query(0.0, 0, 1), 1u);
   EXPECT_EQ(tracker.started(), 2u);
 }
 
 TEST(QueryTracker, StateLookup) {
   QueryTracker tracker;
-  const QueryId id = tracker.begin_query(5.0, 2, 4, 9.0);
+  const QueryId id = tracker.begin_query(5.0, 2, 4);
   EXPECT_EQ(tracker.state(id).remaining, 4u);
   tracker.complete_task(id);
   EXPECT_EQ(tracker.state(id).remaining, 3u);
@@ -163,18 +162,18 @@ TEST(QueryTracker, ErrorsOnUnknownOrOverCompleted) {
   QueryTracker tracker;
   EXPECT_THROW(tracker.state(99), CheckFailure);
   EXPECT_THROW(tracker.complete_task(99), CheckFailure);
-  const QueryId id = tracker.begin_query(0.0, 0, 1, 1.0);
+  const QueryId id = tracker.begin_query(0.0, 0, 1);
   EXPECT_TRUE(tracker.complete_task(id));
   // Query erased after completion: further completions are errors.
   EXPECT_THROW(tracker.complete_task(id), CheckFailure);
-  EXPECT_THROW(tracker.begin_query(0.0, 0, 0, 1.0), CheckFailure);
+  EXPECT_THROW(tracker.begin_query(0.0, 0, 0), CheckFailure);
 }
 
 TEST(QueryTracker, ManyInterleavedQueries) {
   QueryTracker tracker;
   std::vector<QueryId> ids;
   for (int i = 0; i < 100; ++i)
-    ids.push_back(tracker.begin_query(i, 0, 2, i + 10.0));
+    ids.push_back(tracker.begin_query(i, 0, 2));
   EXPECT_EQ(tracker.in_flight(), 100u);
   for (QueryId id : ids) EXPECT_FALSE(tracker.complete_task(id));
   for (QueryId id : ids) EXPECT_TRUE(tracker.complete_task(id));

@@ -61,7 +61,6 @@ TEST(ControlPlane, Eq6BudgetAndDeadline) {
   EXPECT_DOUBLE_EQ(plan.budget_ms, 15.0);
   EXPECT_DOUBLE_EQ(plan.tail_deadline, 115.0);
   EXPECT_DOUBLE_EQ(plan.order_deadline, 115.0);  // TF-EDFQ orders by t_D
-  EXPECT_DOUBLE_EQ(cp.query_state(plan.id).deadline, 115.0);
 }
 
 TEST(ControlPlane, OrderingKeyFollowsPolicy) {

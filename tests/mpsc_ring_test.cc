@@ -103,16 +103,17 @@ TEST(MpscRingWorker, ProducersRacingShutdownNeverLoseAcceptedWork) {
     {
       Worker w(
           0, Policy::kTfEdf, 1, [] { return 0.0; },
-          [&](ServerId, const RuntimeTask&, TimeMs, TimeMs) { ++completions; });
+          [&](ServerId, const RuntimeTask&, TimeMs, TimeMs, bool) {
+            ++completions;
+          });
       std::atomic<bool> go{false};
       std::vector<std::thread> producers;
       for (int p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&, p] {
+        producers.emplace_back([&] {
           while (!go.load(std::memory_order_acquire))
             std::this_thread::yield();
           for (int i = 0; i < 2000; ++i) {
             RuntimeTask task;
-            task.id = static_cast<TaskId>(p * 1'000'000 + i);
             task.work = [&executed] {
               executed.fetch_add(1, std::memory_order_relaxed);
             };
@@ -151,9 +152,8 @@ TEST(MpscRingWorker, BurstBeyondRingCapacityAllExecuted) {
   {
     Worker w(
         0, Policy::kFifo, 1, [] { return 0.0; },
-        [](ServerId, const RuntimeTask&, TimeMs, TimeMs) {});
+        [](ServerId, const RuntimeTask&, TimeMs, TimeMs, bool) {});
     RuntimeTask gate;
-    gate.id = 0;
     gate.work = [&release_gate] {
       while (!release_gate.load(std::memory_order_acquire))
         std::this_thread::yield();
@@ -164,10 +164,9 @@ TEST(MpscRingWorker, BurstBeyondRingCapacityAllExecuted) {
     constexpr int kPerThread = 800;  // 3200 > kRingCapacity
     std::vector<std::thread> producers;
     for (int p = 0; p < kThreads; ++p) {
-      producers.emplace_back([&, p] {
+      producers.emplace_back([&] {
         for (int i = 0; i < kPerThread; ++i) {
           RuntimeTask task;
-          task.id = static_cast<TaskId>(1 + p * kPerThread + i);
           task.work = [&executed] {
             executed.fetch_add(1, std::memory_order_relaxed);
           };

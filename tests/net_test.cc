@@ -69,6 +69,7 @@ TEST(Wire, SubmitTaskRoundTrip) {
   msg.cls = 1;
   msg.relative_deadline_ms = -3.75;  // already-late tasks have negative budget
   msg.simulated_service_ms = 2.5;
+  msg.relative_tail_deadline_ms = -7.5;
   const auto bytes = net::encode(msg);
   net::FrameBuffer buf;
   buf.append(bytes.data(), bytes.size());
@@ -507,6 +508,7 @@ TEST(TaskServer, HandshakeAndSubmitOverRawSocket) {
   submit.cls = 0;
   submit.relative_deadline_ms = 100.0;
   submit.simulated_service_ms = 0.5;
+  submit.relative_tail_deadline_ms = 100.0;
   client.send_bytes(net::encode(submit));
   const auto done_frame = client.read_frame();
   ASSERT_TRUE(done_frame.has_value());
@@ -1402,6 +1404,104 @@ TEST(TaskServer, RunsOneThreadAndExecutorsConcurrently) {
     EXPECT_EQ(server.tasks_executed(), executors);
     EXPECT_EQ(new_threads(before, thread_ids()), 1u);
   }
+}
+
+TEST(Wire, VersionOnePeersAreRefused) {
+  // A version-1 daemon: its HelloAck frame carries version byte 1. The
+  // dispatcher drops the connection and never counts the server alive.
+  std::string error;
+  net::ScopedFd listener = net::listen_tcp(0, &error);
+  ASSERT_TRUE(listener.valid()) << error;
+  net::DispatcherOptions options;
+  options.servers.push_back({"127.0.0.1", net::local_port(listener.get())});
+  options.classes = {{.slo_ms = 100.0, .percentile = 99.0}};
+  net::RemoteDispatcher dispatcher(options);
+  TestClient v1_daemon;
+  ASSERT_TRUE(v1_daemon.accept_from(listener.get()));
+  auto ack = net::encode(net::HelloAckMsg{.protocol_version = 1});
+  ack[2] = 1;
+  v1_daemon.send_bytes(ack);
+  EXPECT_FALSE(dispatcher.wait_for_servers(1, 300.0));
+  EXPECT_EQ(dispatcher.alive_servers(), 0u);
+
+  // A version-1 dispatcher gets no HelloAck from the daemon.
+  net::TaskServer server(net::TaskServerOptions{});
+  TestClient v1_dispatcher;
+  ASSERT_TRUE(v1_dispatcher.connect_to(server.port()));
+  auto hello =
+      net::encode(net::HelloMsg{.protocol_version = 1, .peer_name = "v1"});
+  hello[2] = 1;
+  v1_dispatcher.send_bytes(hello);
+  EXPECT_FALSE(v1_dispatcher.read_frame(/*timeout_ms=*/300).has_value());
+}
+
+// -------------------------------------------------------------- miss rule
+
+class OneMissRule : public ::testing::TestWithParam<Policy> {};
+
+TEST_P(OneMissRule, ZeroWorkQueriesToAnIdleServerNeverMiss) {
+  // Each query runs alone, so its task is dequeued at once, long before
+  // t_D. No backend may flag a miss, whatever key the policy orders by.
+  const Policy policy = GetParam();
+  const std::vector<ClassSpec> classes = {{.slo_ms = 50.0, .percentile = 99.0},
+                                          {.slo_ms = 80.0, .percentile = 99.0}};
+  constexpr int kQueries = 40;
+
+  ServiceOptions inproc_options;
+  inproc_options.num_workers = 1;
+  inproc_options.policy = policy;
+  inproc_options.classes = classes;
+  TailGuardService service(inproc_options);
+  for (int q = 0; q < kQueries; ++q) {
+    const QueryResult r = service.submit(q % 2, {ServiceTaskSpec{}}).get();
+    EXPECT_EQ(r.tasks_missed_deadline, 0u) << "in-process query " << q;
+  }
+  EXPECT_EQ(service.deadline_miss_ratio(), 0.0);
+
+  auto fleet = start_fleet(1, policy, classes.size());
+  net::RemoteDispatcher dispatcher(dispatcher_options(fleet, policy, classes));
+  ASSERT_TRUE(dispatcher.wait_for_servers(1, 5000.0));
+  for (int q = 0; q < kQueries; ++q) {
+    const QueryResult r =
+        dispatcher.submit(q % 2, {net::RemoteTaskSpec{}}).get();
+    EXPECT_EQ(r.tasks_failed, 0u);
+    EXPECT_EQ(r.tasks_missed_deadline, 0u) << "TCP query " << q;
+  }
+  EXPECT_EQ(dispatcher.deadline_miss_ratio(), 0.0);
+  EXPECT_EQ(fleet[0]->tasks_missed_deadline(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPolicies, OneMissRule,
+                         ::testing::Values(Policy::kFifo, Policy::kPriq,
+                                           Policy::kTEdf, Policy::kTfEdf),
+                         [](const auto& info) {
+                           std::string name = to_string(info.param);
+                           std::erase(name, '-');  // "T-EDFQ" -> "TEDFQ"
+                           return name;
+                         });
+
+TEST(OneMissRuleOverTheWire, TEdfJudgesTailDeadlineNotOrderingKey) {
+  // T-EDFQ orders by t0 + SLO. With an Eq. 7 budget of 10 ms, t_D lies far
+  // before that key: a task parked 100 ms behind a long one is dequeued
+  // after t_D but long before t0 + SLO, and must be flagged missed.
+  const std::vector<ClassSpec> classes = {
+      {.slo_ms = 1000.0, .percentile = 99.0}};
+  auto fleet = start_fleet(1, Policy::kTEdf, classes.size());
+  net::RemoteDispatcher dispatcher(
+      dispatcher_options(fleet, Policy::kTEdf, classes));
+  ASSERT_TRUE(dispatcher.wait_for_servers(1, 5000.0));
+
+  auto parking = dispatcher.submit(
+      0, {net::RemoteTaskSpec{.server = 0, .simulated_service_ms = 100.0}});
+  auto parked = dispatcher.submit(0, {net::RemoteTaskSpec{.server = 0}},
+                                  /*budget_override=*/10.0);
+  const QueryResult parking_result = parking.get();
+  const QueryResult parked_result = parked.get();
+  EXPECT_EQ(parking_result.tasks_missed_deadline, 0u);
+  EXPECT_EQ(parked_result.tasks_failed, 0u);
+  EXPECT_EQ(parked_result.tasks_missed_deadline, 1u);
+  EXPECT_LT(parked_result.latency_ms, classes[0].slo_ms);
+  EXPECT_EQ(fleet[0]->tasks_missed_deadline(), 1u);
 }
 
 }  // namespace

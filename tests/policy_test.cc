@@ -10,6 +10,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/policy.h"
+#include "core/server_core.h"
 
 namespace tailguard {
 namespace {
@@ -232,6 +233,48 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, QueueConservation,
                                                   ? "TEdf"
                                                   : to_string(info.param));
                          });
+
+// ------------------------------------------------------------- ServerCore
+
+TEST(ServerCore, PushStampsReceiptAndServesInPolicyOrder) {
+  ServerCore core(Policy::kTfEdf, 1);
+  core.push(make_task(1, 0, /*enqueue=*/-1.0, /*deadline=*/30.0), 5.0);
+  core.push(make_task(2, 0, /*enqueue=*/-1.0, /*deadline=*/20.0), 6.0);
+  EXPECT_EQ(core.queued(), 2u);
+  EXPECT_FALSE(core.busy());
+
+  const QueuedTask& first = core.start_next(7.0);
+  EXPECT_EQ(first.task, 2u);
+  EXPECT_EQ(first.enqueue_time, 6.0);  // the receipt stamp, not the caller's
+  EXPECT_EQ(core.dequeue_time(), 7.0);
+  EXPECT_TRUE(core.busy());
+  EXPECT_EQ(core.queued(), 1u);
+  EXPECT_EQ(core.backlog(), 2u);  // the task in service counts
+
+  core.finish();
+  EXPECT_EQ(core.backlog(), 1u);
+  EXPECT_EQ(core.start_next(8.0).task, 1u);
+  core.finish();
+  EXPECT_EQ(core.backlog(), 0u);
+}
+
+TEST(ServerCore, MissRuleJudgesTailDeadlineNotOrderingKey) {
+  // Under T-EDFQ the ordering key (t0 + SLO) lies far past t_D; only t_D
+  // decides a miss, with the simulator's 1e-12 slack.
+  for (const Policy policy :
+       {Policy::kFifo, Policy::kPriq, Policy::kTEdf, Policy::kTfEdf}) {
+    SCOPED_TRACE(to_string(policy));
+    ServerCore core(policy, 1);
+    QueuedTask task = make_task(1, 0, 0.0, /*deadline=*/100.0);
+    task.tail_deadline = 10.0;
+    core.start(task, 10.0 + 1e-13);
+    EXPECT_FALSE(core.missed());
+    core.finish();
+    core.push(task, 0.0);
+    core.start_next(10.0 + 1e-9);
+    EXPECT_TRUE(core.missed());
+  }
+}
 
 }  // namespace
 }  // namespace tailguard

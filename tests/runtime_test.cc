@@ -33,10 +33,11 @@ TEST(Worker, ExecutesSubmittedWork) {
   {
     Worker w(
         0, Policy::kFifo, 1, [] { return 0.0; },
-        [&](ServerId, const RuntimeTask&, TimeMs, TimeMs) { ++completions; });
+        [&](ServerId, const RuntimeTask&, TimeMs, TimeMs, bool) {
+          ++completions;
+        });
     for (int i = 0; i < 10; ++i) {
       RuntimeTask t;
-      t.id = static_cast<TaskId>(i);
       t.work = [&done] { ++done; };
       w.submit(std::move(t), 0.0, 0.0);
     }
@@ -49,10 +50,9 @@ TEST(Worker, DrainsQueueOnShutdown) {
   std::atomic<int> done{0};
   Worker w(
       0, Policy::kTfEdf, 1, [] { return 0.0; },
-      [&](ServerId, const RuntimeTask&, TimeMs, TimeMs) { ++done; });
+      [&](ServerId, const RuntimeTask&, TimeMs, TimeMs, bool) { ++done; });
   for (int i = 0; i < 50; ++i) {
     RuntimeTask t;
-    t.id = static_cast<TaskId>(i);
     t.simulated_service_ms = 0.01;
     w.submit(std::move(t), 0.0, static_cast<TimeMs>(i));
   }
@@ -65,7 +65,7 @@ TEST(Worker, DrainsQueueOnShutdown) {
 TEST(Worker, RejectsSubmitAfterShutdown) {
   Worker w(
       0, Policy::kFifo, 1, [] { return 0.0; },
-      [](ServerId, const RuntimeTask&, TimeMs, TimeMs) {});
+      [](ServerId, const RuntimeTask&, TimeMs, TimeMs, bool) {});
   w.shutdown();
   RuntimeTask t;
   EXPECT_THROW(w.submit(std::move(t), 0.0, 0.0), CheckFailure);
@@ -82,15 +82,16 @@ TEST(Worker, ConcurrentSubmitRacingShutdownDrainsExactlyOnce) {
     {
       Worker w(
           0, Policy::kTfEdf, 1, [] { return 0.0; },
-          [&](ServerId, const RuntimeTask&, TimeMs, TimeMs) { ++completions; });
+          [&](ServerId, const RuntimeTask&, TimeMs, TimeMs, bool) {
+            ++completions;
+          });
       std::atomic<bool> go{false};
       std::vector<std::thread> submitters;
       for (int t = 0; t < 4; ++t) {
-        submitters.emplace_back([&, t] {
+        submitters.emplace_back([&] {
           while (!go.load()) std::this_thread::yield();
           for (int i = 0; i < 100; ++i) {
             RuntimeTask task;
-            task.id = static_cast<TaskId>(t * 1000 + i);
             try {
               w.submit(std::move(task), 0.0, static_cast<TimeMs>(i));
               ++accepted;
@@ -117,9 +118,8 @@ TEST(Worker, QueueDepthCountsRingAndQueueAndDrainsToZero) {
   std::atomic<int> done{0};
   Worker w(
       0, Policy::kTfEdf, 1, [] { return 0.0; },
-      [&](ServerId, const RuntimeTask&, TimeMs, TimeMs) { ++done; });
+      [&](ServerId, const RuntimeTask&, TimeMs, TimeMs, bool) { ++done; });
   RuntimeTask blocker;
-  blocker.id = 0;
   blocker.work = [&gate] {
     while (!gate.load()) std::this_thread::yield();
   };
@@ -127,7 +127,6 @@ TEST(Worker, QueueDepthCountsRingAndQueueAndDrainsToZero) {
   while (w.queue_depth() != 0) std::this_thread::yield();  // blocker started
   for (int i = 1; i <= 20; ++i) {
     RuntimeTask t;
-    t.id = static_cast<TaskId>(i);
     w.submit(std::move(t), 0.0, static_cast<TimeMs>(i));
   }
   EXPECT_EQ(w.queue_depth(), 20u);  // all parked behind the blocker
