@@ -2,8 +2,11 @@
 //
 // Every bench binary prints: the experiment id, the paper's setup, the
 // regenerated rows/series, and (where the paper publishes numbers) the
-// paper's values alongside. TAILGUARD_BENCH_SCALE scales simulated query
-// counts (e.g. 0.2 for a fast smoke run, 4 for tighter percentiles).
+// paper's values alongside. Two environment variables tune every bench:
+// TAILGUARD_BENCH_SCALE scales simulated query counts (e.g. 0.2 for a fast
+// smoke run, 4 for tighter percentiles), and TAILGUARD_THREADS sizes the
+// shared experiment pool (default: one thread per hardware thread). The
+// library reads neither; this header passes them in.
 //
 // Besides the stdout report, each bench writes BENCH_<name>.json (see
 // JsonReport below, format documented in EXPERIMENTS.md) so the perf and
@@ -23,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "sim/experiment.h"
 
 namespace tailguard::bench {
@@ -43,10 +47,15 @@ inline std::string out_dir() {
   return env != nullptr ? std::string(env) : std::string();
 }
 
-/// Parses the shared bench flags (currently just `--out=DIR` / `--out DIR`).
-/// Call first thing in main(); unknown arguments are ignored so benches can
-/// layer their own flags on top.
+/// Parses the shared bench flags (currently just `--out=DIR` / `--out DIR`)
+/// and sizes the shared pool from TAILGUARD_THREADS. Call first thing in
+/// main(); unknown arguments are ignored so benches can layer their own
+/// flags on top.
 inline void init(int argc, char** argv) {
+  if (const std::size_t threads =
+          ThreadPool::parse_thread_count(std::getenv("TAILGUARD_THREADS"));
+      threads > 0)
+    ThreadPool::shared(threads);
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg.rfind("--out=", 0) == 0)
@@ -69,8 +78,17 @@ inline void section(const std::string& name) {
 
 inline void note(const char* text) { std::printf("note: %s\n", text); }
 
-/// Scaled query count (honours TAILGUARD_BENCH_SCALE).
-inline std::size_t queries(std::size_t base) { return scaled_queries(base); }
+/// Scaled query count: `base` times TAILGUARD_BENCH_SCALE (default 1.0;
+/// unparsable or non-positive values count as unset).
+inline std::size_t queries(std::size_t base) {
+  double scale = 1.0;
+  if (const char* env = std::getenv("TAILGUARD_BENCH_SCALE")) {
+    char* end = nullptr;
+    const double parsed = std::strtod(env, &end);
+    if (end != env && parsed > 0.0) scale = parsed;
+  }
+  return scaled_queries(base, scale);
+}
 
 inline const char* check_mark(bool met) { return met ? "yes" : "NO"; }
 

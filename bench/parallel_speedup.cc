@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   opt.tolerance = 0.01;
 
   std::vector<std::size_t> thread_counts = {1, 2, 4};
-  const std::size_t configured = ThreadPool::configured_threads();
+  const std::size_t configured = ThreadPool::shared().num_threads();
   if (configured > thread_counts.back()) thread_counts.push_back(configured);
 
   std::printf("%-10s %12s %12s %12s %12s\n", "threads", "wall (ms)",

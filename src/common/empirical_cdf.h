@@ -32,9 +32,6 @@ class EmpiricalCdf {
   double max() const;
   double mean() const { return mean_; }
 
-  /// Read-only view of the sorted sample.
-  std::span<const double> sorted_sample() const { return sorted_; }
-
  private:
   std::vector<double> sorted_;
   double mean_ = 0.0;

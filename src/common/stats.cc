@@ -35,18 +35,6 @@ void Summary::merge(const Summary& other) {
   max_ = std::max(max_, other.max_);
 }
 
-double percentile_sorted(std::span<const double> sorted, double p) {
-  if (sorted.empty()) return std::numeric_limits<double>::quiet_NaN();
-  TG_CHECK_MSG(p >= 0.0 && p <= 100.0, "percentile out of range: " << p);
-  if (p <= 0.0) return sorted.front();
-  // Nearest-rank: the smallest value with at least p% of the sample <= it.
-  const auto n = sorted.size();
-  auto rank = static_cast<std::size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(n)));
-  rank = std::min(std::max<std::size_t>(rank, 1), n);
-  return sorted[rank - 1];
-}
-
 double percentile_inplace(std::span<double> sample, double p) {
   if (sample.empty()) return std::numeric_limits<double>::quiet_NaN();
   TG_CHECK_MSG(p >= 0.0 && p <= 100.0, "percentile out of range: " << p);

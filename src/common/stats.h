@@ -45,9 +45,6 @@ double percentile(std::span<const double> sample, double p);
 /// insertion order (see stats_test).
 double percentile_inplace(std::span<double> sample, double p);
 
-/// Nearest-rank percentile of an already-sorted (ascending) sample.
-double percentile_sorted(std::span<const double> sorted, double p);
-
 /// Arithmetic mean; NaN on an empty sample.
 double mean_of(std::span<const double> sample);
 

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/check.h"
 #include "common/thread_annotations.h"
 
 namespace tailguard {
@@ -69,7 +70,8 @@ struct ThreadPool::Impl {
 };
 
 ThreadPool::ThreadPool(std::size_t num_threads) : impl_(new Impl) {
-  if (num_threads == 0) num_threads = configured_threads();
+  if (num_threads == 0)
+    num_threads = std::max(1u, std::thread::hardware_concurrency());
   impl_->workers.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i)
     impl_->workers.emplace_back([this] { impl_->worker_loop(); });
@@ -82,8 +84,12 @@ ThreadPool::~ThreadPool() {
 
 std::size_t ThreadPool::num_threads() const { return impl_->workers.size(); }
 
-ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool(configured_threads());
+ThreadPool& ThreadPool::shared(std::size_t num_threads) {
+  static ThreadPool pool(num_threads);
+  TG_CHECK_MSG(num_threads == 0 || num_threads == pool.num_threads(),
+               "shared pool already has " << pool.num_threads()
+                                          << " threads, asked for "
+                                          << num_threads);
   return pool;
 }
 
@@ -94,15 +100,6 @@ std::size_t ThreadPool::parse_thread_count(const char* value) {
   if (end == value || parsed <= 0) return 0;
   // Clamp to something sane: a runaway value would just thrash.
   return static_cast<std::size_t>(std::min(parsed, 1024L));
-}
-
-std::size_t ThreadPool::configured_threads() {
-  // tg-lint: allow(env-read) until callers pass a thread count
-  const char* env = std::getenv("TAILGUARD_THREADS");
-  const std::size_t from_env = parse_thread_count(env);
-  if (from_env > 0) return from_env;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
 }
 
 void ThreadPool::enqueue(std::function<void()> task) {

@@ -3,7 +3,7 @@
 // The evaluation harness runs hundreds of independent discrete-event
 // simulations; each is CPU-bound and allocation-heavy, so a plain
 // thread-per-task model would thrash. The pool keeps one worker per core
-// (overridable via TAILGUARD_THREADS) and supports *nested* parallelism:
+// unless told otherwise, and supports *nested* parallelism:
 // a task waiting on futures of sub-tasks helps drain the queue instead of
 // blocking, so a batch of max-load searches can each fan out speculative
 // probes onto the same pool without deadlock.
@@ -20,7 +20,7 @@ namespace tailguard {
 
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (0 means configured_threads()).
+  /// Spawns `num_threads` workers (0 means one per hardware thread).
   explicit ThreadPool(std::size_t num_threads = 0);
   ~ThreadPool();
 
@@ -29,16 +29,15 @@ class ThreadPool {
 
   std::size_t num_threads() const;
 
-  /// Process-wide pool sized by configured_threads(); created on first use.
-  static ThreadPool& shared();
+  /// Process-wide pool, created on first use with `num_threads` workers
+  /// (0 means one per hardware thread). Entry points that take a thread
+  /// count pass it on their first call; later calls must pass 0 or the
+  /// same count.
+  static ThreadPool& shared(std::size_t num_threads = 0);
 
-  /// Thread count from the TAILGUARD_THREADS env var, falling back to
-  /// hardware_concurrency(); always at least 1.
-  static std::size_t configured_threads();
-
-  /// Parses a TAILGUARD_THREADS-style value ("8", " 4 ") into a thread
-  /// count; returns 0 when the value is absent or unusable (caller falls
-  /// back to hardware_concurrency). Exposed for testing.
+  /// Parses a thread-count setting ("8", " 4 ", as in the harness's
+  /// TAILGUARD_THREADS) into a count; returns 0 when the value is absent or
+  /// unusable, which callers treat as "one per hardware thread".
   static std::size_t parse_thread_count(const char* value);
 
   /// Schedules `fn` and returns its future.

@@ -1,54 +1,12 @@
 #include "core/placement/policy.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <numeric>
 
 #include "common/check.h"
 #include "core/placement/slack_tracker.h"
 
 namespace tailguard {
-
-const char* placement_kind_name(PlacementPolicyKind kind) {
-  switch (kind) {
-    case PlacementPolicyKind::kLeastLoaded:
-      return "least_loaded";
-    case PlacementPolicyKind::kPowerOfD:
-      return "pow_d";
-    case PlacementPolicyKind::kTailRisk:
-      return "tail_risk";
-  }
-  return "unknown";
-}
-
-PlacementPolicyOptions placement_from_env() {
-  PlacementPolicyOptions opts;
-  // tg-lint: allow(env-read) until callers pass PlacementPolicyOptions
-  if (const char* env = std::getenv("TAILGUARD_PLACEMENT")) {
-    if (std::strcmp(env, "least_loaded") == 0) {
-      opts.kind = PlacementPolicyKind::kLeastLoaded;
-    } else if (std::strcmp(env, "pow_d") == 0) {
-      opts.kind = PlacementPolicyKind::kPowerOfD;
-    } else if (std::strcmp(env, "tail_risk") == 0) {
-      opts.kind = PlacementPolicyKind::kTailRisk;
-    } else {
-      TG_CHECK_MSG(false, "TAILGUARD_PLACEMENT must be 'least_loaded', "
-                          "'pow_d' or 'tail_risk', got '"
-                              << env << "'");
-    }
-  }
-  // tg-lint: allow(env-read) until callers pass PlacementPolicyOptions
-  if (const char* env = std::getenv("TAILGUARD_PLACEMENT_D")) {
-    char* end = nullptr;
-    const long d = std::strtol(env, &end, 10);
-    TG_CHECK_MSG(end != env && *end == '\0' && d >= 1,
-                 "TAILGUARD_PLACEMENT_D must be a positive integer, got '"
-                     << env << "'");
-    opts.power_d = static_cast<std::size_t>(d);
-  }
-  return opts;
-}
 
 // --- least_loaded ----------------------------------------------------------
 

@@ -24,9 +24,9 @@
 //                   servers.
 //
 // Backends never name these classes: they call the control-plane facade's
-// place(), and selection is configuration (PlacementPolicyOptions, or the
-// TAILGUARD_PLACEMENT / TAILGUARD_PLACEMENT_D environment knobs). The
-// tg_lint `control-plane-boundary` rule enforces that.
+// place(), and selection is configuration: the PlacementPolicyOptions each
+// backend's option struct carries. The tg_lint `control-plane-boundary` rule
+// enforces that.
 #pragma once
 
 #include <cstddef>
@@ -45,10 +45,6 @@ class SlackTracker;
 
 enum class PlacementPolicyKind { kLeastLoaded, kPowerOfD, kTailRisk };
 
-/// Stable lowercase name, matching the TAILGUARD_PLACEMENT spelling
-/// ("least_loaded" | "pow_d" | "tail_risk").
-const char* placement_kind_name(PlacementPolicyKind kind);
-
 struct PlacementPolicyOptions {
   PlacementPolicyKind kind = PlacementPolicyKind::kLeastLoaded;
   /// pow_d: candidates sampled per replica pick (d >= 1; d >= n degenerates
@@ -63,13 +59,6 @@ struct PlacementPolicyOptions {
                                             .decay_every = 4096,
                                             .decay_factor = 0.5};
 };
-
-/// Environment fallback for backend placement configuration, mirroring the
-/// TAILGUARD_SHARDS pattern: TAILGUARD_PLACEMENT selects the policy kind
-/// (least_loaded | pow_d | tail_risk; unset = least_loaded) and
-/// TAILGUARD_PLACEMENT_D overrides the pow_d sample width. Invalid values
-/// abort rather than silently running the wrong experiment.
-PlacementPolicyOptions placement_from_env();
 
 /// Per-decision inputs beyond the candidate list itself.
 struct PlacementContext {

@@ -78,8 +78,7 @@ struct DispatcherOptions {
   std::optional<AdmissionOptions> admission;
   std::uint64_t seed = 42;
   /// Placement policy for auto-placed tasks (core/placement/policy.h).
-  /// Unset resolves from the environment (TAILGUARD_PLACEMENT /
-  /// TAILGUARD_PLACEMENT_D), defaulting to least_loaded. Candidates are the
+  /// Unset means the default options (least_loaded). Candidates are the
   /// alive servers ranked by our in-flight count plus the daemon's last
   /// gossiped queue-depth gauge, whatever the policy.
   std::optional<PlacementPolicyOptions> placement;
@@ -210,8 +209,8 @@ class RemoteDispatcher {
   void handle_frame(ServerId server, const Frame& frame,
                     std::vector<Resolution>* resolutions) TG_REQUIRES(mu_);
   /// Sends `conn`'s queued frames on the calling thread. Returns true when
-  /// the net loop must take over: the socket is full (the loop arms
-  /// POLLOUT) or broken (teardown needs the single-threaded poller).
+  /// the net loop must take over: the socket is full (the loop waits for
+  /// write readiness) or broken (teardown needs the single-threaded poller).
   bool send_inline(ServerConn& conn) TG_REQUIRES(mu_);
   /// Drops a task from in_flight_, timeouts_ and its server's in-flight
   /// count. Returns the task's query.
@@ -233,7 +232,7 @@ class RemoteDispatcher {
   // end drained by the net thread. tg-lint: allow(guarded-member)
   WakePipe wake_;
   // tg-lint: allow(guarded-member): net-thread private after construction.
-  std::unique_ptr<Poller> poller_;
+  Poller poller_;
   std::atomic<bool> running_{true};
 
   mutable Mutex mu_;

@@ -18,7 +18,6 @@ TaskServer::TaskServer(TaskServerOptions options)
   listen_fd_ = listen_tcp(options_.port, &error);
   TG_CHECK_MSG(listen_fd_.valid(), "task server cannot listen: " << error);
   port_ = local_port(listen_fd_.get());
-  poller_ = Poller::create();
   {
     MutexLock lock(mu_);
     next_gossip_ms_ = options_.gossip_interval_ms;
@@ -31,7 +30,8 @@ TaskServer::TaskServer(TaskServerOptions options)
 
 TaskServer::~TaskServer() {
   stop();
-  // The loop exits once the executors have served everything accepted.
+  // The loop has already returned or is about to: it exits in the round
+  // that closes the connections, dropping whatever was still queued.
   net_thread_.join();
 }
 
@@ -70,12 +70,6 @@ std::size_t TaskServer::queued_tasks() const {
   std::size_t depth = 0;
   for (const ServerCore& e : executors_) depth += e.queued();
   return depth;
-}
-
-bool TaskServer::executors_idle() const {
-  for (const ServerCore& e : executors_)
-    if (e.backlog() != 0) return false;
-  return true;
 }
 
 std::uint64_t TaskServer::gossip_deltas_sent() const {
@@ -263,10 +257,10 @@ void TaskServer::complete_task(ServerCore& executor, TimeMs complete_ms) {
 
 void TaskServer::close_connections() {
   for (auto& [id, conn] : conns_)
-    if (conn.fd.valid()) poller_->forget(conn.fd.get());
+    if (conn.fd.valid()) poller_.forget(conn.fd.get());
   conns_.clear();
   fd_conn_.clear();
-  poller_->forget(listen_fd_.get());
+  poller_.forget(listen_fd_.get());
   listen_fd_.reset();
   closed_ = true;
   closed_cv_.notify_all();
@@ -315,42 +309,44 @@ void TaskServer::flush_and_sweep_connections() {
       conn.dead = true;
     if (conn.dead || !conn.fd.valid()) {
       if (conn.fd.valid()) {
-        poller_->forget(conn.fd.get());
+        poller_.forget(conn.fd.get());
         fd_conn_.erase(conn.fd.get());
       }
       it = conns_.erase(it);
     } else {
-      poller_->watch(conn.fd.get(), /*want_read=*/true,
-                     /*want_write=*/!conn.out.empty());
+      poller_.watch(conn.fd.get(), /*want_read=*/true,
+                    /*want_write=*/!conn.out.empty());
       ++it;
     }
   }
 }
 
 void TaskServer::net_loop() {
-  poller_->watch(listen_fd_.get(), /*want_read=*/true, /*want_write=*/false);
-  poller_->watch(wake_.read_fd(), /*want_read=*/true, /*want_write=*/false);
-  poller_->watch(service_timer_.fd(), /*want_read=*/true,
-                 /*want_write=*/false);
+  poller_.watch(listen_fd_.get(), /*want_read=*/true, /*want_write=*/false);
+  poller_.watch(wake_.read_fd(), /*want_read=*/true, /*want_write=*/false);
+  poller_.watch(service_timer_.fd(), /*want_read=*/true,
+                /*want_write=*/false);
   std::vector<Poller::Event> events;
   for (;;) {
     int timeout_ms = 200;
-    {
+    if (options_.gossip_interval_ms > 0) {
       MutexLock lock(mu_);
-      // After stop() the loop only serves what was accepted, then exits.
-      if (closed_ && executors_idle()) return;
-      if (options_.gossip_interval_ms > 0 && !closed_) {
-        // Wake in time for the next gossip boundary instead of sleeping
-        // through it (while keeping the 200 ms liveness ceiling).
-        const double until = next_gossip_ms_ - now_ms();
-        timeout_ms = std::clamp(static_cast<int>(until) + 1, 1, 200);
-      }
+      // Wake in time for the next gossip boundary instead of sleeping
+      // through it (while keeping the 200 ms liveness ceiling).
+      const double until = next_gossip_ms_ - now_ms();
+      timeout_ms = std::clamp(static_cast<int>(until) + 1, 1, 200);
     }
     events.clear();
-    poller_->wait(events, timeout_ms);
+    poller_.wait(events, timeout_ms);
 
     MutexLock lock(mu_);
-    if (stopping_ && !closed_) close_connections();
+    if (stopping_) {
+      // Once the connections are closed no TaskDone, ModelSync sample or
+      // gossip can leave the daemon, so what is still queued or in service
+      // is dropped with the loop.
+      close_connections();
+      return;
+    }
     bool accept_ready = false;
     for (const Poller::Event& ev : events) {
       if (ev.fd == wake_.read_fd()) {

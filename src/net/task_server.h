@@ -1,7 +1,7 @@
 // A networked TailGuard task server (one box of Fig. 2's task-server tier).
 //
 // One thread runs the whole daemon: an async TCP loop (epoll via
-// net/poller.h, with a poll(2) fallback) speaking the net/wire.h protocol,
+// net/poller.h) speaking the net/wire.h protocol,
 // and the executors behind it. An executor is one ServerCore
 // (core/server_core.h): the policy queue, task in service and miss rule the
 // simulator and the in-process runtime drive too.
@@ -25,7 +25,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -71,16 +70,17 @@ class TaskServer {
   /// Binds and starts the daemon's one thread. Throws CheckFailure when the
   /// port cannot be bound.
   explicit TaskServer(TaskServerOptions options);
-  /// Stops, then returns once every accepted task has run its full service
-  /// and been counted.
+  /// Stops, then joins the daemon's thread. Work still queued or in service
+  /// is dropped uncounted.
   ~TaskServer();
 
   TaskServer(const TaskServer&) = delete;
   TaskServer& operator=(const TaskServer&) = delete;
 
-  /// Closes the listen socket and all connections, without waiting for
-  /// queued work: the executors go on serving it, and its completions become
-  /// ModelSync samples. Idempotent.
+  /// Closes the listen socket and all connections and ends the daemon's
+  /// loop; returns once the connections are closed. Queued work and the
+  /// task in service are dropped: with every connection gone, no result of
+  /// theirs could reach a dispatcher. Idempotent.
   void stop() TG_EXCLUDES(mu_);
 
   /// Bound port (resolves an ephemeral request).
@@ -152,8 +152,6 @@ class TaskServer {
   /// every connection, then wakes stop().
   void close_connections() TG_REQUIRES(mu_);
   std::size_t queued_tasks() const TG_REQUIRES(mu_);
-  /// True when no executor holds work, queued or in service.
-  bool executors_idle() const TG_REQUIRES(mu_);
 
   // tg-lint: allow(guarded-member): immutable after construction.
   TaskServerOptions options_;
@@ -167,7 +165,7 @@ class TaskServer {
   // end drained by the net thread. tg-lint: allow(guarded-member)
   WakePipe wake_;
   // tg-lint: allow(guarded-member): net-thread private after construction.
-  std::unique_ptr<Poller> poller_;
+  Poller poller_;
   /// Fires at the earliest end of a service in progress.
   // tg-lint: allow(guarded-member): net-thread private after construction.
   DeadlineTimer service_timer_;

@@ -214,8 +214,6 @@ class FrameBuffer {
   /// Non-empty once the stream is unrecoverably corrupt.
   const std::string& error() const { return error_; }
 
-  std::size_t buffered_bytes() const { return buffer_.size(); }
-
  private:
   std::vector<std::uint8_t> buffer_;
   std::size_t consumed_ = 0;  ///< parsed prefix, compacted lazily

@@ -24,8 +24,7 @@ ControlPlaneOptions make_control_plane_options(const ServiceOptions& options) {
   cp.policy = options.policy;
   cp.classes = options.classes;
   cp.admission = options.admission;
-  cp.placement =
-      options.placement ? *options.placement : placement_from_env();
+  cp.placement = options.placement.value_or(PlacementPolicyOptions{});
   cp.seed = options.seed;
   return cp;
 }

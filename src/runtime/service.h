@@ -61,8 +61,7 @@ struct ServiceOptions {
   /// Round-robin keeps concurrent submitters evenly spread by default.
   RouterKind shard_router = RouterKind::kRoundRobin;
   /// Placement policy for auto-placed tasks (core/placement/policy.h).
-  /// Unset resolves from the environment (TAILGUARD_PLACEMENT /
-  /// TAILGUARD_PLACEMENT_D), defaulting to least_loaded — the pre-policy
+  /// Unset means the default options: least_loaded, the pre-policy
   /// behaviour, bit-for-bit.
   std::optional<PlacementPolicyOptions> placement;
   /// Observer called once per submitted query with the workers its tasks

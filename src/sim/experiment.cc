@@ -1,7 +1,6 @@
 #include "sim/experiment.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/check.h"
 #include "sim/parallel.h"
@@ -32,14 +31,8 @@ std::vector<LoadPoint> sweep_loads(SimConfig config,
   return sweep_loads_parallel(config, loads, opt);
 }
 
-std::size_t scaled_queries(std::size_t base) {
-  double scale = 1.0;
-  // tg-lint: allow(env-read) until benches pass a scale
-  if (const char* env = std::getenv("TAILGUARD_BENCH_SCALE")) {
-    char* end = nullptr;
-    const double parsed = std::strtod(env, &end);
-    if (end != env && parsed > 0.0) scale = std::clamp(parsed, 0.05, 100.0);
-  }
+std::size_t scaled_queries(std::size_t base, double scale) {
+  scale = std::clamp(scale, 0.05, 100.0);
   const auto scaled =
       static_cast<std::size_t>(static_cast<double>(base) * scale);
   return std::max<std::size_t>(scaled, 1000);

@@ -30,7 +30,7 @@ void set_load(SimConfig& config, double load, const MaxLoadOptions& opt = {});
 /// evaluation points. Returns opt.lo if even the floor is infeasible.
 /// Runs as a speculative parallel search over the shared thread pool (see
 /// sim/parallel.h); the result is identical to the serial bisection at any
-/// TAILGUARD_THREADS setting.
+/// pool size.
 double find_max_load(SimConfig config, const MaxLoadOptions& opt = {});
 
 struct LoadPoint {
@@ -44,9 +44,9 @@ std::vector<LoadPoint> sweep_loads(SimConfig config,
                                    const std::vector<double>& loads,
                                    const MaxLoadOptions& opt = {});
 
-/// Reads TAILGUARD_BENCH_SCALE (default 1.0, clamped to [0.05, 100]) and
-/// scales a query count by it; the bench harness uses it everywhere so the
-/// whole suite can be sped up or made more precise from the environment.
-std::size_t scaled_queries(std::size_t base);
+/// Scales a query count by `scale`, clamped to [0.05, 100], with a floor of
+/// 1000 queries; the bench harness uses it everywhere so the whole suite can
+/// be sped up or made more precise by one factor.
+std::size_t scaled_queries(std::size_t base, double scale);
 
 }  // namespace tailguard

@@ -20,7 +20,6 @@ LatencySample::TailAndMean LatencySample::tail_and_mean(double pct) {
 void MetricsCollector::record_query(ClassId cls, std::uint32_t fanout,
                                     TimeMs latency_ms) {
   const GroupKey key{cls, fanout};
-  ++queries_;
   // Workloads tend to record runs of the same group back to back, so check
   // the previously hit group before scanning.
   if (last_index_ < groups_.size() && groups_[last_index_].first == key) {

@@ -58,8 +58,6 @@ class MetricsCollector {
     if (missed_deadline) ++tasks_missed_;
   }
 
-  std::uint64_t queries_recorded() const { return queries_; }
-  std::uint64_t tasks_dequeued() const { return tasks_dequeued_; }
   double task_deadline_miss_ratio() const {
     return tasks_dequeued_ == 0 ? 0.0
                                 : static_cast<double>(tasks_missed_) /
@@ -79,7 +77,6 @@ class MetricsCollector {
  private:
   std::vector<std::pair<GroupKey, LatencySample>> groups_;
   std::size_t last_index_ = 0;  ///< memo: group hit by the previous record
-  std::uint64_t queries_ = 0;
   std::uint64_t tasks_dequeued_ = 0;
   std::uint64_t tasks_missed_ = 0;
 };

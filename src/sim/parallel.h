@@ -8,7 +8,7 @@
 // returned in submission order, and the speculative max-load search replays
 // the serial bisection's decisions from results keyed by load — so the same
 // seeds produce bit-identical metrics and max loads at any thread count
-// (TAILGUARD_THREADS=1 and =64 agree).
+// (a 1-thread and a 64-thread pool agree).
 #pragma once
 
 #include <functional>

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <span>
 
 #include "common/alloc_probe.h"
@@ -129,44 +127,6 @@ std::vector<std::shared_ptr<CdfModel>> build_models(
   return result;
 }
 
-// Environment fallback for SimConfig::sharding.
-ShardingOptions sharding_from_env() {
-  ShardingOptions opts;
-  // tg-lint: allow(env-read) until callers set SimConfig::sharding
-  if (const char* env = std::getenv("TAILGUARD_SHARDS")) {
-    char* end = nullptr;
-    const long n = std::strtol(env, &end, 10);
-    TG_CHECK_MSG(end != env && *end == '\0' && n >= 1,
-                 "TAILGUARD_SHARDS must be a positive integer, got '" << env
-                                                                     << "'");
-    opts.num_shards = static_cast<std::uint32_t>(n);
-  }
-  // tg-lint: allow(env-read) until callers set SimConfig::sharding
-  if (const char* env = std::getenv("TAILGUARD_SHARD_SYNC_MS")) {
-    char* end = nullptr;
-    const double ms = std::strtod(env, &end);
-    TG_CHECK_MSG(end != env && *end == '\0' && ms >= 0.0,
-                 "TAILGUARD_SHARD_SYNC_MS must be a non-negative number, "
-                 "got '" << env << "'");
-    opts.sync_interval_ms = ms;
-  }
-  // tg-lint: allow(env-read) until callers set SimConfig::sharding
-  if (const char* env = std::getenv("TAILGUARD_SHARD_ROUTER")) {
-    if (std::strcmp(env, "hash") == 0) {
-      opts.router = RouterKind::kHash;
-    } else if (std::strcmp(env, "round-robin") == 0) {
-      opts.router = RouterKind::kRoundRobin;
-    } else if (std::strcmp(env, "class-affinity") == 0) {
-      opts.router = RouterKind::kClassAffinity;
-    } else {
-      TG_CHECK_MSG(false, "TAILGUARD_SHARD_ROUTER must be 'hash', "
-                          "'round-robin' or 'class-affinity', got '"
-                              << env << "'");
-    }
-  }
-  return opts;
-}
-
 }  // namespace
 
 double expected_work_per_query(const SimConfig& config) {
@@ -278,10 +238,9 @@ SimResult run_simulation(const SimConfig& config) {
   // event-driven execution backend around it. Sharded: N replicas behind the
   // facade, queries routed by arrival index, delta-sync at simulated-time
   // interval boundaries (a single shard is the transparent default).
-  const ShardingOptions sharding =
-      config.sharding ? *config.sharding : sharding_from_env();
+  const ShardingOptions sharding = config.sharding.value_or(ShardingOptions{});
   const PlacementPolicyOptions placement_opts =
-      config.placement_policy ? *config.placement_policy : placement_from_env();
+      config.placement_policy.value_or(PlacementPolicyOptions{});
   ControlPlaneOptions cp_options;
   cp_options.policy = config.policy;
   cp_options.classes = config.classes;

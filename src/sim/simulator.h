@@ -127,11 +127,8 @@ struct SimConfig {
   std::optional<AdmissionOptions> admission;
 
   /// Query-handler sharding: N ShardedControlPlane replicas with periodic
-  /// delta-sync (src/shard). Unset resolves from the environment —
-  /// TAILGUARD_SHARDS, TAILGUARD_SHARD_SYNC_MS, TAILGUARD_SHARD_ROUTER
-  /// (hash|round-robin|class-affinity) — defaulting to a single shard, so
-  /// whole-figure runs can be A/B'd from the shell like the EDF/event-queue
-  /// knobs. One shard with sync disabled is bit-identical to the unsharded
+  /// delta-sync (src/shard). Unset means the default options: a single
+  /// shard. One shard with sync disabled is bit-identical to the unsharded
   /// control plane (the parity invariant).
   std::optional<ShardingOptions> sharding;
 
@@ -168,14 +165,12 @@ struct SimConfig {
   std::function<void(Rng&, ClassId, std::uint32_t, std::vector<ServerId>&)>
       placement;
 
-  /// Control-plane placement policy (core/placement/policy.h). Unset
-  /// resolves from the environment — TAILGUARD_PLACEMENT
-  /// (least_loaded|pow_d|tail_risk), TAILGUARD_PLACEMENT_D — defaulting to
-  /// least_loaded, which in the simulator keeps the exact legacy uniform
-  /// distinct sampling path (all servers are equal candidates, so
-  /// least-loaded over an unweighted view degenerates to it). pow_d and
-  /// tail_risk route each query through ShardedControlPlane::place() over
-  /// live queue-depth candidates.
+  /// Control-plane placement policy (core/placement/policy.h). Unset means
+  /// the default options: least_loaded, which in the simulator keeps the
+  /// exact legacy uniform distinct sampling path (all servers are equal
+  /// candidates, so least-loaded over an unweighted view degenerates to
+  /// it). pow_d and tail_risk route each query through
+  /// ShardedControlPlane::place() over live queue-depth candidates.
   std::optional<PlacementPolicyOptions> placement_policy;
 
   /// Observer called once per admitted query with the servers its tasks

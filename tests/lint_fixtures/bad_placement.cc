@@ -2,9 +2,9 @@
 // src/runtime/, src/net/, src/sas/ or src/shard/ — the sharding facade
 // included — every placement token below must fire control-plane-boundary:
 // placement is pluggable behind QueryControlPlane::place(), selected via
-// PlacementPolicyOptions / TAILGUARD_PLACEMENT, and naming the raw picker
-// or a concrete policy class pins one strategy into this backend. The same
-// bytes are legal in core (which owns the policies), tests and tools.
+// PlacementPolicyOptions, and naming the raw picker or a concrete policy
+// class pins one strategy into this backend. The same bytes are legal in
+// core (which owns the policies), tests and tools.
 #include "core/placement.h"
 #include "core/placement/policy.h"
 

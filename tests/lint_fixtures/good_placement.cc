@@ -1,7 +1,7 @@
 // The same backend done right: placement goes through the facade's
-// place() and the strategy arrives as data (PlacementPolicyOptions /
-// TAILGUARD_PLACEMENT), so no concrete policy name appears and the file
-// lints clean even under the backend directories the boundary rule watches.
+// place() and the strategy arrives as data (PlacementPolicyOptions), so no
+// concrete policy name appears and the file lints clean even under the
+// backend directories the boundary rule watches.
 #include "shard/sharded_control_plane.h"
 
 namespace tailguard {

@@ -268,11 +268,8 @@ TEST(Wire, EncodeIntoEmptyPayloadFrame) {
 
 // ----------------------------------------------------- poller & send queue
 
-class PollerBackends : public ::testing::TestWithParam<net::Poller::Backend> {};
-
-TEST_P(PollerBackends, ReportsReadWriteAndHangup) {
-  auto poller = net::Poller::create(GetParam());
-  ASSERT_EQ(poller->backend(), GetParam());
+TEST(Poller, ReportsReadWriteAndHangup) {
+  net::Poller poller;
 
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
@@ -280,49 +277,38 @@ TEST_P(PollerBackends, ReportsReadWriteAndHangup) {
   net::set_nonblocking(a.get());
 
   // Read interest, nothing to read: timeout.
-  poller->watch(a.get(), /*want_read=*/true, /*want_write=*/false);
+  poller.watch(a.get(), /*want_read=*/true, /*want_write=*/false);
   std::vector<net::Poller::Event> events;
-  EXPECT_EQ(poller->wait(events, 0), 0);
+  EXPECT_EQ(poller.wait(events, 0), 0);
   EXPECT_TRUE(events.empty());
 
   // Peer writes: readable, and not writable (no write interest).
   const std::uint8_t byte = 0x42;
   ASSERT_EQ(::send(b.get(), &byte, 1, MSG_NOSIGNAL), 1);
   events.clear();
-  ASSERT_GE(poller->wait(events, 1000), 1);
+  ASSERT_GE(poller.wait(events, 1000), 1);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].fd, a.get());
   EXPECT_TRUE(events[0].readable);
   EXPECT_FALSE(events[0].writable);
 
   // Adding write interest on an idle socket: writable immediately.
-  poller->watch(a.get(), /*want_read=*/true, /*want_write=*/true);
+  poller.watch(a.get(), /*want_read=*/true, /*want_write=*/true);
   events.clear();
-  ASSERT_GE(poller->wait(events, 1000), 1);
+  ASSERT_GE(poller.wait(events, 1000), 1);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_TRUE(events[0].writable);
 
   // Peer closes: hangup-class condition reported.
   b.reset();
   events.clear();
-  ASSERT_GE(poller->wait(events, 1000), 1);
+  ASSERT_GE(poller.wait(events, 1000), 1);
   EXPECT_TRUE(events[0].closed || events[0].readable);  // EOF shows as either
 
   // After forget(), the fd produces no more events.
-  poller->forget(a.get());
+  poller.forget(a.get());
   events.clear();
-  EXPECT_EQ(poller->wait(events, 0), 0);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllBackends, PollerBackends,
-                         ::testing::Values(net::Poller::Backend::kEpoll,
-                                           net::Poller::Backend::kPoll));
-
-TEST(Poller, EnvSelectsPollBackend) {
-  ::setenv("TAILGUARD_NET_BACKEND", "poll", 1);
-  EXPECT_EQ(net::Poller::create()->backend(), net::Poller::Backend::kPoll);
-  ::unsetenv("TAILGUARD_NET_BACKEND");
-  EXPECT_EQ(net::Poller::create()->backend(), net::Poller::Backend::kEpoll);
+  EXPECT_EQ(poller.wait(events, 0), 0);
 }
 
 TEST(SendQueue, CoalescesFramesAndFlushesInOneBatch) {
@@ -592,33 +578,6 @@ net::DispatcherOptions dispatcher_options(
   options.policy = policy;
   options.classes = std::move(classes);
   return options;
-}
-
-TEST(RemoteDispatcher, PollBackendEndToEnd) {
-  // The full dispatcher <-> task-server loop on the poll(2) fallback: both
-  // net loops pick their backend at construction, so the env var must be in
-  // place before either starts. Differential coverage for the epoll default
-  // every other test exercises.
-  ::setenv("TAILGUARD_NET_BACKEND", "poll", 1);
-  {
-    auto fleet = start_fleet(2, Policy::kTfEdf, 1);
-    net::RemoteDispatcher dispatcher(dispatcher_options(
-        fleet, Policy::kTfEdf, {{.slo_ms = 100.0, .percentile = 99.0}}));
-    ASSERT_TRUE(dispatcher.wait_for_servers(2, 5000.0));
-    std::vector<std::future<QueryResult>> futures;
-    for (int q = 0; q < 10; ++q) {
-      std::vector<net::RemoteTaskSpec> tasks(2);
-      for (auto& t : tasks) t.simulated_service_ms = 0.2;
-      futures.push_back(dispatcher.submit(0, std::move(tasks)));
-    }
-    for (auto& f : futures) {
-      const QueryResult r = f.get();
-      EXPECT_TRUE(r.admitted);
-      EXPECT_EQ(r.tasks_failed, 0u);
-    }
-    EXPECT_EQ(dispatcher.completed_queries(), 10u);
-  }
-  ::unsetenv("TAILGUARD_NET_BACKEND");
 }
 
 TEST(RemoteDispatcher, SubmitsAndCompletesQueries) {
@@ -943,10 +902,11 @@ TEST(RemoteDispatcher, KilledServerDegradesGracefullyAndRejoins) {
     before.push_back(dispatcher.submit(0, std::move(tasks)));
   }
 
-  // Kill daemon 1 mid-run. Note: TaskServer::stop drains queued work, so
-  // stop the in-flight 30 s task by replacing the object entirely is not an
-  // option — instead the dispatcher must fail it on disconnect, which is
-  // exactly what this asserts (the future resolves in ms, not in 30 s).
+  // Kill daemon 1 mid-run. TaskServer::stop closes every connection and
+  // drops the daemon's queued and in-service work, so no TaskDone for the
+  // 30 s task will ever come: the dispatcher must fail it on disconnect,
+  // which is exactly what this asserts (the future resolves in ms, not in
+  // 30 s).
   std::thread killer([&fleet] { fleet[1]->stop(); });
   const auto t0 = std::chrono::steady_clock::now();
   const QueryResult doomed_result = doomed_future.get();
@@ -985,18 +945,7 @@ TEST(RemoteDispatcher, KilledServerDegradesGracefullyAndRejoins) {
 // Producers send inline and hand over only when a send cannot finish:
 // submit() on the dispatcher's calling thread, which then wakes the net
 // loop, and a daemon's loop for the TaskDone of each task it sees end.
-// These tests force each hand-over, on both poller backends.
-
-class InlineSendFallback
-    : public ::testing::TestWithParam<net::Poller::Backend> {
- protected:
-  // Both net loops pick their backend at construction.
-  void SetUp() override {
-    ::setenv("TAILGUARD_NET_BACKEND",
-             GetParam() == net::Poller::Backend::kPoll ? "poll" : "epoll", 1);
-  }
-  void TearDown() override { ::unsetenv("TAILGUARD_NET_BACKEND"); }
-};
+// These tests force each hand-over.
 
 /// The kernel's cap on a TCP send buffer (autotuning grows it that far).
 std::size_t tcp_send_buffer_max() {
@@ -1006,7 +955,7 @@ std::size_t tcp_send_buffer_max() {
   return 4u << 20;
 }
 
-TEST_P(InlineSendFallback, BackPressureNeverBlocksSubmitAndKeepsOrder) {
+TEST(InlineSendFallback, BackPressureNeverBlocksSubmitAndKeepsOrder) {
   // A scripted daemon that answers the handshake and then stops reading.
   std::string error;
   net::ScopedFd listen_fd = net::listen_tcp(0, &error);
@@ -1071,7 +1020,7 @@ TEST_P(InlineSendFallback, BackPressureNeverBlocksSubmitAndKeepsOrder) {
   EXPECT_EQ(dispatcher.timeout_entries(), 0u);
 }
 
-TEST_P(InlineSendFallback, SubmitWhileDaemonStopsResolvesEachQueryOnce) {
+TEST(InlineSendFallback, SubmitWhileDaemonStopsResolvesEachQueryOnce) {
   auto fleet = start_fleet(1, Policy::kTfEdf, 1);
   auto options = dispatcher_options(fleet, Policy::kTfEdf,
                                     {{.slo_ms = 100.0, .percentile = 99.0}});
@@ -1113,7 +1062,7 @@ TEST_P(InlineSendFallback, SubmitWhileDaemonStopsResolvesEachQueryOnce) {
   EXPECT_EQ(dispatcher.timeout_entries(), 0u);
 }
 
-TEST_P(InlineSendFallback, DaemonBackfillsTaskDoneOfVanishedDispatcher) {
+TEST(InlineSendFallback, DaemonBackfillsTaskDoneOfVanishedDispatcher) {
   // The dispatcher resets its connection while the executor is serving a
   // task, with more queued behind it. Each of those TaskDones can no
   // longer be sent and must become exactly one ModelSync sample. Which
@@ -1194,7 +1143,7 @@ int daemon_end_of(int client_fd) {
   return -1;
 }
 
-TEST_P(InlineSendFallback, DaemonBackfillsTaskDoneWhoseSendFails) {
+TEST(InlineSendFallback, DaemonBackfillsTaskDoneWhoseSendFails) {
   // The daemon's end of the connection is shut for writing behind its net
   // loop's back. Nothing becomes readable or hung up, so the loop keeps the
   // connection, and the first send on it is the executor's TaskDone, which
@@ -1232,28 +1181,14 @@ TEST_P(InlineSendFallback, DaemonBackfillsTaskDoneWhoseSendFails) {
   EXPECT_GE(sync.samples_ms[0], 0.1);  // the task's measured service time
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBackends, InlineSendFallback,
-                         ::testing::Values(net::Poller::Backend::kEpoll,
-                                           net::Poller::Backend::kPoll));
-
 // ------------------------------------------------- daemon order and threads
-
-class DaemonOverTheWire
-    : public ::testing::TestWithParam<net::Poller::Backend> {
- protected:
-  void SetUp() override {
-    ::setenv("TAILGUARD_NET_BACKEND",
-             GetParam() == net::Poller::Backend::kPoll ? "poll" : "epoll", 1);
-  }
-  void TearDown() override { ::unsetenv("TAILGUARD_NET_BACKEND"); }
-};
 
 double ms_between(std::chrono::steady_clock::time_point from,
                   std::chrono::steady_clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-TEST_P(DaemonOverTheWire, ServesEdfOrderAndStampsDeadlinesAtReceipt) {
+TEST(DaemonOverTheWire, ServesEdfOrderAndStampsDeadlinesAtReceipt) {
   // One executor is parked on a long task while a burst with shuffled
   // relative deadlines (ties included) queues behind it. The daemon must
   // stay responsive during the service, stamp each task when it arrives,
@@ -1336,10 +1271,6 @@ TEST_P(DaemonOverTheWire, ServesEdfOrderAndStampsDeadlinesAtReceipt) {
   }
   EXPECT_EQ(order, expected);
 }
-
-INSTANTIATE_TEST_SUITE_P(AllBackends, DaemonOverTheWire,
-                         ::testing::Values(net::Poller::Backend::kEpoll,
-                                           net::Poller::Backend::kPoll));
 
 /// Ids of this process's threads.
 std::set<std::string> thread_ids() {

@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <set>
 #include <utility>
@@ -323,24 +322,9 @@ TEST(PlacementStatsMath, MeansAreComputedBeforeInPlaceSelection) {
   EXPECT_DOUBLE_EQ(tm.tail_ms, percentile(pristine, 50.0));
 }
 
-// ----------------------------------------------------------- env selection
+// ------------------------------------------------------ policy selection
 
-TEST(PlacementConfig, EnvKnobsSelectPolicyAndSampleWidth) {
-  ASSERT_EQ(setenv("TAILGUARD_PLACEMENT", "pow_d", 1), 0);
-  ASSERT_EQ(setenv("TAILGUARD_PLACEMENT_D", "5", 1), 0);
-  PlacementPolicyOptions opts = placement_from_env();
-  EXPECT_EQ(opts.kind, PlacementPolicyKind::kPowerOfD);
-  EXPECT_EQ(opts.power_d, 5u);
-
-  ASSERT_EQ(setenv("TAILGUARD_PLACEMENT", "tail_risk", 1), 0);
-  EXPECT_EQ(placement_from_env().kind, PlacementPolicyKind::kTailRisk);
-
-  unsetenv("TAILGUARD_PLACEMENT");
-  unsetenv("TAILGUARD_PLACEMENT_D");
-  EXPECT_EQ(placement_from_env().kind, PlacementPolicyKind::kLeastLoaded);
-}
-
-TEST(PlacementConfig, SimulatorHonoursEnvSelection) {
+TEST(PlacementConfig, SimulatorHonoursPolicySelection) {
   SimConfig config;
   config.num_servers = 8;
   config.policy = Policy::kTfEdf;
@@ -351,9 +335,10 @@ TEST(PlacementConfig, SimulatorHonoursEnvSelection) {
   config.num_queries = 500;
   config.seed = 4;
 
-  ASSERT_EQ(setenv("TAILGUARD_PLACEMENT", "pow_d", 1), 0);
-  const SimResult informed = run_simulation(config);
-  unsetenv("TAILGUARD_PLACEMENT");
+  SimConfig pow_d = config;
+  pow_d.placement_policy =
+      PlacementPolicyOptions{.kind = PlacementPolicyKind::kPowerOfD};
+  const SimResult informed = run_simulation(pow_d);
   EXPECT_EQ(informed.placement_kind, PlacementPolicyKind::kPowerOfD);
   EXPECT_GT(informed.placement_decisions, 0u);
   EXPECT_GT(informed.placement_candidates_considered,

@@ -531,9 +531,13 @@ TEST(Experiment, SweepLoadsReturnsOnePointPerLoad) {
 }
 
 TEST(Experiment, ScaledQueriesEnvelope) {
-  // No env var set in tests: identity (subject to the 1000 floor).
-  EXPECT_EQ(scaled_queries(50000), 50000u);
-  EXPECT_EQ(scaled_queries(10), 1000u);
+  // Scale 1 is the identity, subject to the 1000 floor.
+  EXPECT_EQ(scaled_queries(50000, 1.0), 50000u);
+  EXPECT_EQ(scaled_queries(10, 1.0), 1000u);
+  EXPECT_EQ(scaled_queries(50000, 0.2), 10000u);
+  // The scale is clamped to [0.05, 100].
+  EXPECT_EQ(scaled_queries(100000, 0.001), 5000u);
+  EXPECT_EQ(scaled_queries(100000, 1e6), 10000000u);
 }
 
 }  // namespace

@@ -39,8 +39,8 @@
 //                       environment cannot be configured or tested through
 //                       its API; settings are options, and only the entry
 //                       points (tools/, bench/, perfbench/) read the
-//                       environment. The reads that remain carry an
-//                       allow(env-read) naming the setting to move out.
+//                       environment. The rule has no allowed exceptions:
+//                       nothing under src/ carries an allow(env-read).
 //   atomic-order        Every atomic access in src/ and tools/ (.load(),
 //                       .store(), .exchange(), .fetch_*(),
 //                       .compare_exchange_*(), .test_and_set()) passes an

@@ -9,10 +9,15 @@
 //
 //   # OLDI: every query fans out to all servers, Pareto arrivals
 //   tailguard_sim --fixed-fanout 100 --slos 1.0,1.5 --pareto --load 0.5
+//
+// TAILGUARD_THREADS sizes the pool that runs load sweeps and max-load
+// searches (default: one thread per hardware thread).
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 
 #include "common/flags.h"
+#include "common/thread_pool.h"
 #include "sas/testbed.h"
 #include "sim/experiment.h"
 #include "tool_util.h"
@@ -75,6 +80,10 @@ int main(int argc, char** argv) {
   parser.add_int("seed", &seed, "random seed");
   if (!parser.parse(argc, argv, std::cout, std::cerr))
     return parser.help_requested() ? 0 : 1;
+  if (const std::size_t threads =
+          ThreadPool::parse_thread_count(std::getenv("TAILGUARD_THREADS"));
+      threads > 0)
+    ThreadPool::shared(threads);
 
   const auto policies = tools::parse_policies(policies_flag);
   if (policies.empty()) {
