@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstring>
 
 #include "common/check.h"
 #include "core/placement.h"
@@ -527,7 +528,9 @@ void RemoteDispatcher::handle_frame(ServerId server, const Frame& frame,
 }
 
 void RemoteDispatcher::net_loop() {
-  poller_.watch(wake_.read_fd(), /*want_read=*/true, /*want_write=*/false);
+  TG_CHECK_MSG(
+      poller_.watch(wake_.read_fd(), /*want_read=*/true, /*want_write=*/false),
+      "epoll_ctl: " << std::strerror(errno));
   std::vector<Poller::Event> events;
   while (running_.load(std::memory_order_relaxed)) {
     std::vector<Resolution> resolutions;
@@ -548,13 +551,12 @@ void RemoteDispatcher::net_loop() {
         }
         if (!conn.fd.valid()) continue;
         // Interest edges only: steady-state rounds re-assert the same
-        // interest and cost no syscall (see Poller::watch).
-        if (conn.state == ConnState::kConnecting)
-          poller_.watch(conn.fd.get(), /*want_read=*/false,
-                        /*want_write=*/true);
-        else
-          poller_.watch(conn.fd.get(), /*want_read=*/true,
-                        /*want_write=*/!conn.out.empty());
+        // interest and cost no syscall (see Poller::watch). A connection
+        // the poller refuses is torn down like one that reports EPOLLERR.
+        const bool connecting = conn.state == ConnState::kConnecting;
+        if (!poller_.watch(conn.fd.get(), /*want_read=*/!connecting,
+                           /*want_write=*/connecting || !conn.out.empty()))
+          disconnect(static_cast<ServerId>(s), now, &resolutions);
       }
       if (!timeouts_.empty())
         poll_timeout_ms =

@@ -13,17 +13,20 @@ Poller::Poller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {
   TG_CHECK_MSG(epfd_.valid(), "epoll_create1: " << std::strerror(errno));
 }
 
-void Poller::watch(int fd, bool want_read, bool want_write) {
+bool Poller::watch(int fd, bool want_read, bool want_write) {
   const auto it = interest_.find(fd);
   const bool existed = it != interest_.end();
   if (existed && it->second.read == want_read &&
       it->second.write == want_write)
-    return;  // steady state: no syscall
-  interest_[fd] = Interest{want_read, want_write};
+    return true;  // steady state: no syscall
   epoll_event ev{};
   ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
   ev.data.fd = fd;
-  ::epoll_ctl(epfd_.get(), existed ? EPOLL_CTL_MOD : EPOLL_CTL_ADD, fd, &ev);
+  if (::epoll_ctl(epfd_.get(), existed ? EPOLL_CTL_MOD : EPOLL_CTL_ADD, fd,
+                  &ev) != 0)
+    return false;
+  interest_[fd] = Interest{want_read, want_write};
+  return true;
 }
 
 void Poller::forget(int fd) {

@@ -35,8 +35,10 @@ class Poller {
   Poller& operator=(const Poller&) = delete;
 
   /// Declares interest in `fd`. Cheap when nothing changed — loops call it
-  /// every iteration and only interest *edges* become syscalls.
-  void watch(int fd, bool want_read, bool want_write);
+  /// every iteration and only interest *edges* become syscalls. Returns
+  /// false when epoll_ctl refuses the change; the cache then keeps the last
+  /// interest the kernel accepted, so the next call retries the syscall.
+  [[nodiscard]] bool watch(int fd, bool want_read, bool want_write);
 
   /// Drops `fd` from the interest set. Must be called before the descriptor
   /// is closed: fd numbers are recycled by the kernel, and a stale cache

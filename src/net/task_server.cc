@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstring>
 
 #include "common/check.h"
 
@@ -307,6 +308,12 @@ void TaskServer::flush_and_sweep_connections() {
     if (!conn.dead && conn.fd.valid() && !conn.out.empty() &&
         conn.out.flush(conn.fd.get()) == SendQueue::FlushResult::kError)
       conn.dead = true;
+    // A connection the poller refuses could never be serviced again: treat
+    // it like EPOLLERR.
+    if (!conn.dead && conn.fd.valid() &&
+        !poller_.watch(conn.fd.get(), /*want_read=*/true,
+                       /*want_write=*/!conn.out.empty()))
+      conn.dead = true;
     if (conn.dead || !conn.fd.valid()) {
       if (conn.fd.valid()) {
         poller_.forget(conn.fd.get());
@@ -314,18 +321,15 @@ void TaskServer::flush_and_sweep_connections() {
       }
       it = conns_.erase(it);
     } else {
-      poller_.watch(conn.fd.get(), /*want_read=*/true,
-                    /*want_write=*/!conn.out.empty());
       ++it;
     }
   }
 }
 
 void TaskServer::net_loop() {
-  poller_.watch(listen_fd_.get(), /*want_read=*/true, /*want_write=*/false);
-  poller_.watch(wake_.read_fd(), /*want_read=*/true, /*want_write=*/false);
-  poller_.watch(service_timer_.fd(), /*want_read=*/true,
-                /*want_write=*/false);
+  for (const int fd : {listen_fd_.get(), wake_.read_fd(), service_timer_.fd()})
+    TG_CHECK_MSG(poller_.watch(fd, /*want_read=*/true, /*want_write=*/false),
+                 "epoll_ctl: " << std::strerror(errno));
   std::vector<Poller::Event> events;
   for (;;) {
     int timeout_ms = 200;

@@ -5,14 +5,11 @@
 // and miss rule the simulator and the task daemon drive. Tasks carry either
 // a real closure or a simulated service duration.
 //
-// Submission path (the microsecond hot path): producers publish into a
-// bounded lock-free MPSC ring; the worker drains the ring into its private
-// policy queue before every scheduling decision, so policy order is decided
-// over everything published at that instant — the same eligibility rule the
-// old mutex gave (anything enqueued before the pop was orderable). The only
-// blocking primitive left is a condvar doorbell rung exclusively on the
-// empty→nonempty edge; while the worker is busy, submit() is a handful of
-// atomic ops and no syscalls.
+// The worker is a plain monitor: one mutex guards the core, the payload slab
+// and the shutdown flag, and one condvar wakes the thread. submit() pushes
+// straight into the policy queue under the lock, so policy order is decided
+// over every task accepted before the pop. The payload and the completion
+// callback run outside the lock.
 #pragma once
 
 #include <atomic>
@@ -22,7 +19,6 @@
 #include "common/slab_map.h"
 #include "common/thread_annotations.h"
 #include "core/server_core.h"
-#include "runtime/mpsc_ring.h"
 
 namespace tailguard {
 
@@ -58,42 +54,25 @@ class Worker {
   Worker(const Worker&) = delete;
   Worker& operator=(const Worker&) = delete;
 
-  /// Enqueues a task. `order_deadline` is the policy ordering key (t_D for
-  /// TF-EDFQ, t_0 + SLO for T-EDFQ; ignored by FIFO/PRIQ). Lock-free:
-  /// throws via TG_CHECK if the worker is already shut down; a submit that
-  /// wins the race against shutdown() is guaranteed to execute (the worker
-  /// drains every accepted submission before exiting).
+  /// Enqueues a task received at `enqueue_ms`. `order_deadline` is the
+  /// policy ordering key (t_D for TF-EDFQ, t_0 + SLO for T-EDFQ; ignored by
+  /// FIFO/PRIQ). Throws via TG_CHECK once the worker is shut down; a submit
+  /// that returns is executed exactly once, before ~Worker returns.
   void submit(RuntimeTask task, TimeMs enqueue_ms, TimeMs order_deadline)
-      TG_EXCLUDES(doorbell_mu_);
+      TG_EXCLUDES(mu_);
 
-  /// Stops accepting work and finishes what is queued.
-  void shutdown() TG_EXCLUDES(doorbell_mu_);
+  /// Stops accepting work; the worker finishes what is queued, then exits.
+  void shutdown() TG_EXCLUDES(mu_);
 
   ServerId id() const { return id_; }
-  /// Tasks accepted but not yet started (in the ring or the policy queue).
+  /// Tasks accepted but not yet started. Lock-free, so placement can read
+  /// it while holding its own locks.
   std::size_t queue_depth() const {
     return depth_.load(std::memory_order_relaxed);
   }
 
  private:
-  /// One submit() crossing the producer→consumer boundary.
-  struct Submission {
-    RuntimeTask task;
-    TimeMs enqueue_ms = 0.0;
-    TimeMs order_deadline = kNoTime;
-  };
-
-  /// Submission ring capacity (power of two). Overflow does not drop or
-  /// block the worker — producers spin-yield in MpscRing::push until the
-  /// worker frees slots, which it does at drain speed (no task execution in
-  /// between).
-  static constexpr std::size_t kRingCapacity = 1024;
-
-  void run() TG_EXCLUDES(doorbell_mu_);
-  void drain_ring();
-  bool work_published() const {
-    return consumed_ != submitted_.load(std::memory_order_seq_cst);
-  }
+  void run() TG_EXCLUDES(mu_);
 
   // Set once in the constructor, read-only afterwards.
   // tg-lint: allow(guarded-member)
@@ -103,37 +82,14 @@ class Worker {
   // tg-lint: allow(guarded-member): immutable after construction.
   CompletionFn on_complete_;
 
-  // Lock-free MPSC ring: synchronizes via its own acquire/release slots.
-  // tg-lint: allow(guarded-member)
-  MpscRing<Submission> ring_{kRingCapacity};
-  /// Submissions accepted (post shutdown-check). Compared against the
-  /// consumer's `consumed_` to (a) detect published-but-undrained work and
-  /// (b) hold the worker alive until every accepted submit has run.
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<bool> shutdown_{false};
-  std::atomic<std::size_t> depth_{0};
-
-  /// Doorbell for the empty→nonempty edge. `sleeping_` is the Dekker flag:
-  /// the consumer sets it before its final emptiness re-check; producers
-  /// check it after publishing. Both sides use seq_cst so one of them is
-  /// guaranteed to see the other — no missed wakeup, and no notify (hence
-  /// no syscall) while the worker is awake.
-  std::atomic<bool> sleeping_{false};
-  /// Guards nothing: it exists purely so the condvar wait/notify handshake
-  /// has a mutex to close the sleeping_-set→wait() window against. All
-  /// shared state crosses via the ring and the seq_cst atomics above.
-  Mutex doorbell_mu_;
-  CondVar doorbell_;
-
-  // --- consumer-thread state (only the worker thread touches these, so no
-  // mutex protects them by design) ---
-  // tg-lint: allow(guarded-member): consumer-thread private.
-  std::uint64_t consumed_ = 0;
-  // tg-lint: allow(guarded-member): consumer-thread private.
-  ServerCore core_;
+  Mutex mu_;
+  /// Signalled on every submit and on shutdown.
+  CondVar wake_;
+  ServerCore core_ TG_GUARDED_BY(mu_);
   /// Queued tasks' payloads; the core queues their tickets.
-  // tg-lint: allow(guarded-member): consumer-thread private.
-  TicketSlab<RuntimeTask> tasks_;
+  TicketSlab<RuntimeTask> tasks_ TG_GUARDED_BY(mu_);
+  bool shutdown_ TG_GUARDED_BY(mu_) = false;
+  std::atomic<std::size_t> depth_{0};
 
   std::thread thread_;
 };

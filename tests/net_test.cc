@@ -6,9 +6,12 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -277,7 +280,7 @@ TEST(Poller, ReportsReadWriteAndHangup) {
   net::set_nonblocking(a.get());
 
   // Read interest, nothing to read: timeout.
-  poller.watch(a.get(), /*want_read=*/true, /*want_write=*/false);
+  ASSERT_TRUE(poller.watch(a.get(), /*want_read=*/true, /*want_write=*/false));
   std::vector<net::Poller::Event> events;
   EXPECT_EQ(poller.wait(events, 0), 0);
   EXPECT_TRUE(events.empty());
@@ -293,7 +296,7 @@ TEST(Poller, ReportsReadWriteAndHangup) {
   EXPECT_FALSE(events[0].writable);
 
   // Adding write interest on an idle socket: writable immediately.
-  poller.watch(a.get(), /*want_read=*/true, /*want_write=*/true);
+  ASSERT_TRUE(poller.watch(a.get(), /*want_read=*/true, /*want_write=*/true));
   events.clear();
   ASSERT_GE(poller.wait(events, 1000), 1);
   ASSERT_EQ(events.size(), 1u);
@@ -309,6 +312,37 @@ TEST(Poller, ReportsReadWriteAndHangup) {
   poller.forget(a.get());
   events.clear();
   EXPECT_EQ(poller.wait(events, 0), 0);
+}
+
+TEST(Poller, RefusedWatchIsNotCachedAndRetries) {
+  net::Poller poller;
+
+  // epoll refuses regular files (EPERM). A refused watch must not enter the
+  // interest cache: the second identical call reaches the kernel again
+  // (errno is set anew) instead of returning as a cached no-op.
+  std::FILE* file = std::tmpfile();
+  ASSERT_NE(file, nullptr);
+  const int file_fd = ::fileno(file);
+  errno = 0;
+  EXPECT_FALSE(poller.watch(file_fd, /*want_read=*/true, /*want_write=*/false));
+  EXPECT_EQ(errno, EPERM);
+  errno = 0;
+  EXPECT_FALSE(poller.watch(file_fd, /*want_read=*/true, /*want_write=*/false));
+  EXPECT_EQ(errno, EPERM);
+  std::fclose(file);
+
+  // The same poller still accepts a pollable fd and reports its readiness.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  net::ScopedFd read_end(fds[0]), write_end(fds[1]);
+  ASSERT_TRUE(
+      poller.watch(read_end.get(), /*want_read=*/true, /*want_write=*/false));
+  const std::uint8_t byte = 0x42;
+  ASSERT_EQ(::write(write_end.get(), &byte, 1), 1);
+  std::vector<net::Poller::Event> events;
+  ASSERT_EQ(poller.wait(events, 1000), 1);
+  EXPECT_EQ(events[0].fd, read_end.get());
+  EXPECT_TRUE(events[0].readable);
 }
 
 TEST(SendQueue, CoalescesFramesAndFlushesInOneBatch) {

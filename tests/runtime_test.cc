@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <future>
 #include <thread>
 #include <vector>
@@ -110,10 +111,9 @@ TEST(Worker, ConcurrentSubmitRacingShutdownDrainsExactlyOnce) {
   }
 }
 
-TEST(Worker, QueueDepthCountsRingAndQueueAndDrainsToZero) {
-  // queue_depth() spans both stages of the lock-free submit path (the MPSC
-  // ring and the policy queue); after a blocked backlog is released and
-  // drained it must return to exactly zero.
+TEST(Worker, QueueDepthCountsQueuedTasksAndDrainsToZero) {
+  // queue_depth() counts tasks accepted but not yet started; after a
+  // blocked backlog is released and drained it must return to exactly zero.
   std::atomic<bool> gate{false};
   std::atomic<int> done{0};
   Worker w(
@@ -133,6 +133,97 @@ TEST(Worker, QueueDepthCountsRingAndQueueAndDrainsToZero) {
   gate.store(true);
   while (done.load() < 21) std::this_thread::yield();
   EXPECT_EQ(w.queue_depth(), 0u);
+}
+
+TEST(Worker, ProducersRacingShutdownNeverLoseAcceptedWork) {
+  // Every submit() that returns (did not throw) executes exactly once, even
+  // when shutdown() lands in the middle of a multi-producer burst; every
+  // submit() after shutdown throws. Varying the shutdown delay sweeps the
+  // race window across the burst. Counting assertions only, so the test is
+  // valid under any sanitizer slowdown.
+  constexpr int kProducers = 6;
+  for (int round = 0; round < 8; ++round) {
+    std::atomic<std::uint64_t> executed{0};
+    std::atomic<std::uint64_t> completions{0};
+    std::atomic<std::uint64_t> accepted{0};
+    {
+      Worker w(
+          0, Policy::kTfEdf, 1, [] { return 0.0; },
+          [&](ServerId, const RuntimeTask&, TimeMs, TimeMs, bool) {
+            ++completions;
+          });
+      std::atomic<bool> go{false};
+      std::vector<std::thread> producers;
+      for (int p = 0; p < kProducers; ++p) {
+        producers.emplace_back([&] {
+          while (!go.load(std::memory_order_acquire))
+            std::this_thread::yield();
+          for (int i = 0; i < 2000; ++i) {
+            RuntimeTask task;
+            task.work = [&executed] {
+              executed.fetch_add(1, std::memory_order_relaxed);
+            };
+            try {
+              w.submit(std::move(task), 0.0, static_cast<TimeMs>(i % 7));
+            } catch (const CheckFailure&) {
+              return;  // shutdown won; every later submit would throw too
+            }
+            accepted.fetch_add(1, std::memory_order_relaxed);
+          }
+        });
+      }
+      go.store(true, std::memory_order_release);
+      std::this_thread::sleep_for(std::chrono::microseconds(50 * round));
+      w.shutdown();
+      for (auto& t : producers) t.join();
+      EXPECT_THROW(
+          {
+            RuntimeTask late;
+            w.submit(std::move(late), 0.0, 0.0);
+          },
+          CheckFailure);
+    }  // ~Worker drains everything accepted, then joins
+    EXPECT_EQ(executed.load(), accepted.load()) << "round " << round;
+    EXPECT_EQ(completions.load(), accepted.load()) << "round " << round;
+  }
+}
+
+TEST(Worker, BurstBehindBlockedTaskAllExecuted) {
+  // Four producers submit 800 tasks each while the first task blocks the
+  // worker, so the whole burst queues behind it; once the gate opens the
+  // worker drains all of it and nothing is lost.
+  std::atomic<std::uint64_t> executed{0};
+  std::atomic<bool> release_gate{false};
+  {
+    Worker w(
+        0, Policy::kFifo, 1, [] { return 0.0; },
+        [](ServerId, const RuntimeTask&, TimeMs, TimeMs, bool) {});
+    RuntimeTask gate;
+    gate.work = [&release_gate] {
+      while (!release_gate.load(std::memory_order_acquire))
+        std::this_thread::yield();
+    };
+    w.submit(std::move(gate), 0.0, 0.0);
+
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 800;
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kThreads; ++p) {
+      producers.emplace_back([&] {
+        for (int i = 0; i < kPerThread; ++i) {
+          RuntimeTask task;
+          task.work = [&executed] {
+            executed.fetch_add(1, std::memory_order_relaxed);
+          };
+          w.submit(std::move(task), 0.0, 0.0);
+        }
+      });
+    }
+    for (auto& t : producers) t.join();
+    EXPECT_EQ(executed.load(), 0u);  // the whole burst waits behind the gate
+    release_gate.store(true, std::memory_order_release);
+  }  // ~Worker drains
+  EXPECT_EQ(executed.load(), 4 * 800);
 }
 
 // -------------------------------------------------------------- service
